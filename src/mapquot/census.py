@@ -19,12 +19,15 @@ from mapquot.maps import (
     PlaneMap,
     PointedMap,
     SymmetricMap,
+    automorphism_from,
     distances_from,
     find_rotation_automorphisms,
     fixed_vertex,
     is_irreducible,
     is_quasi_simple,
     is_simple,
+    marked_code,
+    minimal_rootings,
     radial_distance,
     unrooted_code,
 )
@@ -150,41 +153,26 @@ def marked_edge_count(maps) -> int:
     """Number of (map, marked edge) classes, maps taken up to outer-fixing iso."""
     codes = set()
     for m in maps:
+        rootings = minimal_rootings(m)
         for e in range(m.n_edges):
-            codes.add(unrooted_code(m, marked_edge=e))
-    return len(codes)
-
-
-def count_two_point_quad(n: int, i: int, force: bool = False) -> int:
-    """Sphere quadrangulations with n faces, a marked edge and a marked vertex
-    whose closest extremity of the edge is at distance i."""
-    if i <= 0:
-        return 0
-    if i > 2 * n:
-        return 0
-    codes = set()
-    for m in rooted_sphere_quads(n, force):
-        dist = [distances_from(m, v) for v in range(m.n_vertices)]
-        for e in range(m.n_edges):
-            a, b = m.edge_endpoints(e)
-            for v in range(m.n_vertices):
-                if min(dist[v][a], dist[v][b]) == i:
-                    codes.add(unrooted_code(m, pointed=v, marked_edge=e, sphere=True))
+            codes.add(marked_code(m, rootings, marked_edge=e))
     return len(codes)
 
 
 def two_point_quad_table(n: int, force: bool = False) -> dict[int, int]:
-    """count_two_point_quad for every distance, plus the unbucketed total."""
+    """Sphere quadrangulations with n faces, a marked edge and a marked vertex,
+    counted by the distance i >= 1 from the vertex to the closer edge end."""
     table: dict[int, int] = {}
     total = set()
     for m in rooted_sphere_quads(n, force):
+        rootings = minimal_rootings(m, sphere=True)
         dist = [distances_from(m, v) for v in range(m.n_vertices)]
         for e in range(m.n_edges):
             a, b = m.edge_endpoints(e)
             for v in range(m.n_vertices):
                 i = min(dist[v][a], dist[v][b])
                 if i >= 1:
-                    code = unrooted_code(m, pointed=v, marked_edge=e, sphere=True)
+                    code = marked_code(m, rootings, pointed=v, marked_edge=e)
                     table.setdefault(i, set()).add(code)
                     total.add(code)
     out = {i: len(c) for i, c in table.items()}
@@ -210,13 +198,14 @@ def pointed_dissection_classes(
     seen = set()
     out = []
     for m in fam:
+        rootings = minimal_rootings(m)
         for v in m.inner_vertices():
             p = PointedMap(m, v)
             if distance is not None and radial_distance(p) != distance:
                 continue
             if quasi_simple and not is_quasi_simple(p):
                 continue
-            code = unrooted_code(m, pointed=v)
+            code = marked_code(m, rootings, pointed=v)
             if code not in seen:
                 seen.add(code)
                 out.append(p)
@@ -248,13 +237,25 @@ def symmetric_members(
     force: bool = False,
 ) -> list[SymmetricMap]:
     """k-symmetric dissections found by full-size generation plus rotation
-    detection (independent of the quotient machinery)."""
+    detection (independent of the quotient machinery).
+
+    An order-k rotation fixing the outer face has a power shifting the root
+    outer_deg/k steps along the contour, so a rooted map is kept only if that
+    shift extends to an automorphism; the survivors, in family order, are then
+    reduced to unrooted classes and searched for rotations about an inner vertex.
+    """
     _guard(n_inner, "symmetric_inner", force)
     fam = rooted_family(
         outer_deg, inner_deg, n_inner, simple=simple, outer_simple=True
     )
+    # family maps are rooted at dart 0, so their outer face tuple starts at the root
+    step = outer_deg // k if outer_deg % k == 0 else None
+    survivors = [
+        m for m in fam
+        if step is not None and automorphism_from(m, m.faces[m.outer_face][step]) is not None
+    ]
     out = []
-    for m in unrooted_classes(fam):
+    for m in unrooted_classes(survivors):
         rots = [(kk, rho) for kk, rho in find_rotation_automorphisms(m) if kk == k]
         if not rots:
             continue

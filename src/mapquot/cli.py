@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from mapquot import census, jsonio, render
 from mapquot import series as S
@@ -24,7 +25,7 @@ from mapquot.verify import CHECKS, run_suite
 def _emit(obj, args=None) -> None:
     text = jsonio.dumps(obj) + "\n"
     if args is not None and getattr(args, "output", None) not in (None, "-"):
-        with open(args.output, "a") as fh:
+        with open(args.output, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -86,7 +87,7 @@ def cmd_enumerate(args) -> int:
 
 
 def _read_record(args) -> dict:
-    data = sys.stdin.read() if args.input in (None, "-") else open(args.input).read()
+    data = sys.stdin.read() if args.input in (None, "-") else Path(args.input).read_text()
     return jsonio.parse_map(json.loads(data))
 
 
@@ -212,7 +213,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (MapError, S.SeriesError, census.SizeCapExceeded) as exc:
+    except (MapError, S.SeriesError, census.SizeCapExceeded, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except json.JSONDecodeError as exc:

@@ -54,9 +54,28 @@ def pointed_record(p: PointedMap) -> dict:
     return map_record(p.base, pointed=p.pointed_vertex)
 
 
+def _check_types(record) -> None:
+    """Every field of the format above must be null or of its JSON type (and
+    sigma and root present); true, false and floats are not ints."""
+    if not isinstance(record, dict):
+        raise MapError("a map record must be a JSON object")
+    for key in ("n_darts", "root", "pointed", "marked_edge", "marked_face", "k"):
+        if record.get(key) is not None and type(record[key]) is not int:
+            raise MapError(f"{key} in a map record must be an int or null")
+    for key in ("sigma", "rho", "orient"):
+        items = [] if record.get(key) is None else record[key]
+        if not isinstance(items, list) or any(
+            type(x) is not int and not (x is None and key == "orient") for x in items
+        ):
+            raise MapError(f"{key} in a map record must be a list of ints or null")
+    if record.get("sigma") is None or record.get("root", 0) is None:
+        raise MapError("a map record needs a sigma array and an int root")
+
+
 def parse_map(record: dict) -> dict:
     """Validate a JSON record; returns a dict with typed objects under the
     keys map / pointed / symmetric / orientation (absent parts are None)."""
+    _check_types(record)
     sigma = record["sigma"]
     if record.get("n_darts") not in (None, len(sigma)):
         raise MapError("n_darts does not match sigma")

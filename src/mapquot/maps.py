@@ -463,25 +463,32 @@ def is_irreducible(m: PlaneMap, d: int) -> bool:
     return True
 
 
-def is_dissection(m: PlaneMap, spec: DissectionSpec) -> bool:
-    """Structural membership check (degrees, outer contour, simplicity flags)."""
-    if m.outer_degree() != spec.outer_degree:
-        return False
-    for i, f in enumerate(m.faces):
-        if i != m.outer_face and len(f) != spec.inner_face_degree:
-            return False
-    # outer contour must be a simple cycle: pairwise distinct vertices
-    contour = [m.vertex_of[d] for d in m.faces[m.outer_face]]
-    if len(set(contour)) != len(contour):
-        return False
-    if spec.simple and not is_simple(m):
-        return False
-    if spec.irreducible and not is_irreducible(m, spec.inner_face_degree):
-        return False
-    return True
-
-
 # -- canonical codes and automorphisms ------------------------------------
+
+
+def _bfs_code(m: PlaneMap, root: int) -> tuple[bytes, list[int]]:
+    """Bare breadth-first code from `root`, 4 bytes per dart, and the dart labels."""
+    sigma = m.sigma
+    label = [-1] * m.n_darts
+    label[root] = 0
+    order = [root]
+    out = bytearray()
+    for d in order:
+        for e in (sigma[d], d ^ 1):
+            if label[e] < 0:
+                label[e] = len(order)
+                order.append(e)
+            out += label[e].to_bytes(2, "little")
+    return bytes(out), label
+
+
+def _marks(m: PlaneMap, label, pointed, marked_edge, marked_face) -> bytes:
+    values = (
+        None if pointed is None else min(label[d] for d in m.vertices[pointed]),
+        None if marked_edge is None else min(label[2 * marked_edge], label[2 * marked_edge + 1]),
+        None if marked_face is None else min(label[d] for d in m.faces[marked_face]),
+    )
+    return b"\xfe" + b"".join(b"\xff\xff" if v is None else v.to_bytes(2, "little") for v in values)
 
 
 def canonical_code(
@@ -496,35 +503,32 @@ def canonical_code(
     Two rooted maps have equal codes iff they are isomorphic by a
     root-preserving dart bijection; marks are appended canonically.
     """
-    if root is None:
-        root = m.root_dart
-    sigma = m.sigma
-    n = m.n_darts
-    label = [-1] * n
-    label[root] = 0
-    order = [root]
-    out = bytearray()
-    nxt = 1
-    for d in order:
-        for e in (sigma[d], d ^ 1):
-            if label[e] < 0:
-                label[e] = nxt
-                nxt += 1
-                order.append(e)
-            out.append(label[e] & 0xFF)
-            out.append(label[e] >> 8)
-    marks = bytearray([0xFE])
-    for value in (
-        None if pointed is None else min(label[d] for d in m.vertices[pointed]),
-        None if marked_edge is None else min(label[2 * marked_edge], label[2 * marked_edge + 1]),
-        None if marked_face is None else min(label[d] for d in m.faces[marked_face]),
-    ):
-        if value is None:
-            marks.extend(b"\xff\xff")
-        else:
-            marks.append(value & 0xFF)
-            marks.append(value >> 8)
-    return bytes(out) + bytes(marks)
+    code, label = _bfs_code(m, m.root_dart if root is None else root)
+    return code + _marks(m, label, pointed, marked_edge, marked_face)
+
+
+def minimal_rootings(m: PlaneMap, sphere: bool = False) -> tuple[bytes, list[list[int]]]:
+    """Least bare code over admissible re-rootings, and the dart labels of each
+    root reaching it.  Plane maps re-root along the outer contour only; sphere
+    objects at every dart (the left face of the new root becomes the outer face).
+    """
+    best, labels = None, []
+    for r in range(m.n_darts) if sphere else m.faces[m.outer_face]:
+        code, label = _bfs_code(m, r)
+        if best is None or code < best:
+            best, labels = code, [label]
+        elif code == best:
+            labels.append(label)
+    return best, labels
+
+
+def marked_code(
+    m: PlaneMap, rootings: tuple, pointed: Optional[int] = None, marked_edge: Optional[int] = None
+) -> bytes:
+    """unrooted_code from minimal_rootings(m).  Bare codes all have one length,
+    so the least code is the least bare code plus the least marks of its roots."""
+    bare, labels = rootings
+    return bare + min(_marks(m, label, pointed, marked_edge, None) for label in labels)
 
 
 def unrooted_code(
@@ -533,16 +537,8 @@ def unrooted_code(
     marked_edge: Optional[int] = None,
     sphere: bool = False,
 ) -> bytes:
-    """Minimum code over admissible re-rootings.
-
-    Plane maps re-root along the outer contour only; sphere objects re-root
-    at every dart (the left face of the new root becomes the outer face).
-    """
-    roots = range(m.n_darts) if sphere else m.faces[m.outer_face]
-    return min(
-        canonical_code(m, root=r, pointed=pointed, marked_edge=marked_edge)
-        for r in roots
-    )
+    """Minimum code over admissible re-rootings (see minimal_rootings)."""
+    return marked_code(m, minimal_rootings(m, sphere), pointed, marked_edge)
 
 
 def automorphism_from(m: PlaneMap, image_of_root: int) -> Optional[tuple[int, ...]]:

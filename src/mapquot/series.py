@@ -248,33 +248,6 @@ class TruncSeries:
         return out
 
 
-def ts_arith(a: TruncSeries, b, op: str) -> TruncSeries:
-    """Named dispatch over the basic arithmetic (convenience for the CLI)."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    if op == "derivative":
-        return a.derivative()
-    if op == "integrate":
-        return a.integrate()
-    if op == "shift":
-        return a.shift(int(b))
-    raise UnknownName(f"unknown series operation {op!r}")
-
-
-def ts_compose(outer: TruncSeries, inner: TruncSeries) -> TruncSeries:
-    return outer.compose(inner)
-
-
-def ts_sqrt(a: TruncSeries) -> TruncSeries:
-    return a.sqrt()
-
-
 @dataclass(frozen=True)
 class Laurent:
     """Minimal Laurent wrapper: x**offset * series.  Only what the finite-order
@@ -685,11 +658,6 @@ _BUILDERS: dict[str, Callable[[int], TruncSeries]] = {
 }
 for _name in _ALGEBRAIC:
     _BUILDERS[_name] = lambda order, _n=_name: algebraic(_n, order).series
-
-
-def derived_series(name: str, order: int) -> TruncSeries:
-    """Catalogue lookup by name (raises UnknownName)."""
-    return named(name, order)
 
 
 #: level-variable series per two-point family

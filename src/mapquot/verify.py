@@ -187,11 +187,12 @@ def _symmetric_suite(small: bool):
         (4, 4, 2, (2, 4), False),
         (4, 6, 3, (3, 6), False),
         (3, 3, 3, (3,) if small else (3, 9), True),
-        (3, 6, 2, (2, 4), False),
+        (3, 6, 2, (6,), False),
     ]
     for inner, outer, k, n_inners, simple in sizes:
         for n_inner in n_inners:
-            yield from census.symmetric_members(inner, outer, k, n_inner, simple=simple)
+            members = census.symmetric_members(inner, outer, k, n_inner, simple=simple)
+            yield (inner, outer, k, n_inner, simple), members
 
 
 def check_quotient_lemmas(small: bool = False) -> tuple[bool, str]:
@@ -199,10 +200,13 @@ def check_quotient_lemmas(small: bool = False) -> tuple[bool, str]:
     member and every unroll output."""
     ok = True
     count = 0
-    for sym in _symmetric_suite(small):
-        rep = verify_quotient_lemmas(sym)
-        ok &= all(rep.values())
-        count += 1
+    for family, members in _symmetric_suite(small):
+        if not members:
+            return False, f"no symmetric members for (inner, outer, k, n_inner, simple)={family}"
+        for sym in members:
+            rep = verify_quotient_lemmas(sym)
+            ok &= all(rep.values())
+            count += 1
     # unroll outputs round-trip and satisfy the lemmas
     for deg, sizes in ((4, (1, 2, 3)), (3, (1, 3))):
         for n in sizes:
@@ -264,10 +268,10 @@ def check_two_point_census(small: bool = False) -> tuple[bool, str]:
     """Distance-refined series coefficients equal census counts."""
     ok = True
     nmax = 3 if small else 4
-    for i in (1, 2, 3):
-        F = S.two_point("quad", i, nmax)
-        for n in range(1, nmax + 1):
-            ok &= F[n] == census.count_two_point_quad(n, i)
+    F = {i: S.two_point("quad", i, nmax) for i in (1, 2, 3)}
+    for n in range(1, nmax + 1):
+        table = census.two_point_quad_table(n)
+        ok &= all(F[i][n] == table.get(i, 0) for i in F)
     imax = 2
     ntri = 3 if small else 4
     for i in range(1, imax + 1):

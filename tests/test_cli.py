@@ -1,6 +1,14 @@
+import io
 import json
+import subprocess
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mapquot import jsonio
 from mapquot.cli import main
@@ -139,3 +147,81 @@ class TestRenderCommand:
         code, out = run_cli(capsys, "render")
         assert code == 0
         assert "<text" in out
+
+
+SQUARE = jsonio.map_record(square_map())
+MALFORMED = {
+    "no sigma": {"n_darts": 2},
+    "top-level list": [SQUARE],
+    "string dart": {"sigma": ["a", 1]},
+    "float dart": {"sigma": [1.0, 0]},
+    "bool root": dict(SQUARE, root=True),
+    "null root": dict(SQUARE, root=None),
+    "string pointed": dict(SQUARE, pointed="0"),
+    "float in rho": dict(SQUARE, rho=[0, 1, 2, 3, 4, 5, 6, 7.5], k=2, pointed=0),
+    "bool orient bit": dict(SQUARE, orient=[0, 1, True, None]),
+    "orient bit 2": dict(SQUARE, orient=[0, 1, 2, None]),
+    "string n_darts": dict(SQUARE, n_darts="8"),
+}
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12) | st.floats(allow_nan=False) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=8) | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=20,
+)
+# records that keep most fields of a valid one and retype a few
+near_records = st.dictionaries(
+    st.sampled_from(sorted(SQUARE)), json_values, max_size=4
+).map(lambda changes: {**SQUARE, **changes})
+
+
+def run_orient(text):
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(sys, "stdin", io.StringIO(text)), redirect_stdout(out), redirect_stderr(err):
+        code = main(["orient"])
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestInputContract:
+    @pytest.mark.parametrize("record", MALFORMED.values(), ids=list(MALFORMED))
+    def test_malformed_record_is_an_input_error(self, record):
+        code, out, err = run_orient(json.dumps(record))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(record=json_values | near_records)
+    def test_any_json_exits_0_or_2_with_one_error_line(self, record):
+        code, out, err = run_orient(json.dumps(record))
+        assert code in (0, 2)
+        if code == 2:
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+        else:
+            jsonio.parse_map(json.loads(out))
+
+    def test_process_exit_code_without_traceback(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "mapquot.cli", "orient"],
+            input="[1, 2]", capture_output=True, text=True,
+            env={"PYTHONPATH": str(src)}, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == "error: a map record must be a JSON object\n"
+
+    def test_missing_input_file_is_an_input_error(self, capsys, tmp_path):
+        code = main(["orient", "--input", str(tmp_path / "absent.json")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_output_file_is_truncated(self, capsys, tmp_path):
+        src = tmp_path / "in.json"
+        dst = tmp_path / "out.json"
+        src.write_text(jsonio.dumps(SQUARE))
+        for _ in range(2):
+            assert main(["orient", "--input", str(src), "--output", str(dst)]) == 0
+        lines = dst.read_text().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["sigma"] == SQUARE["sigma"]

@@ -1,0 +1,112 @@
+"""The census fast paths against the brute-force versions they replace.
+
+Symmetric detection filters rooted maps by one automorphism test before it
+computes any canonical code, and unrooted codes root each map once for all
+of its marks.  The oracles below are the direct definitions: unrooted
+classes over the whole family, and the least marked code over every root.
+"""
+
+import pytest
+
+from mapquot import census
+from mapquot.maps import (
+    PointedMap,
+    SymmetricMap,
+    canonical_code,
+    find_rotation_automorphisms,
+    fixed_vertex,
+    marked_code,
+    minimal_rootings,
+    radial_distance,
+    unrooted_code,
+)
+
+
+def oracle_unrooted_code(m, pointed=None, marked_edge=None, sphere=False):
+    roots = range(m.n_darts) if sphere else m.faces[m.outer_face]
+    return min(
+        canonical_code(m, root=r, pointed=pointed, marked_edge=marked_edge)
+        for r in roots
+    )
+
+
+def oracle_symmetric_members(inner, outer, k, n_inner, simple=False, distance=None):
+    fam = census.rooted_family(outer, inner, n_inner, simple=simple, outer_simple=True)
+    classes = {}
+    for m in fam:
+        classes.setdefault(oracle_unrooted_code(m), m)
+    out = []
+    for m in classes.values():
+        rots = [(kk, rho) for kk, rho in find_rotation_automorphisms(m) if kk == k]
+        if not rots:
+            continue
+        _, rho = min(rots, key=lambda t: t[1])
+        p = PointedMap(m, fixed_vertex(m, rho))
+        if distance is not None and radial_distance(p) != distance:
+            continue
+        out.append(SymmetricMap(p, k, rho))
+    return out
+
+
+# (inner degree, outer degree, k, inner faces, simple)
+SYMMETRIC_CASES = [
+    (4, 4, 2, 4, True),
+    (4, 4, 2, 6, True),
+    (4, 4, 2, 4, False),
+    (4, 6, 3, 3, False),
+    (4, 6, 3, 6, True),
+    (3, 3, 3, 9, True),
+    (4, 8, 4, 4, False),
+    (4, 8, 2, 4, False),
+    (3, 6, 2, 6, False),
+]
+
+
+@pytest.mark.parametrize("inner,outer,k,n_inner,simple", SYMMETRIC_CASES)
+def test_symmetric_members_match_oracle(inner, outer, k, n_inner, simple):
+    expect = oracle_symmetric_members(inner, outer, k, n_inner, simple)
+    assert expect
+    assert census.symmetric_members(inner, outer, k, n_inner, simple=simple) == expect
+    for i in (1, 2, 3):
+        got = census.symmetric_members(inner, outer, k, n_inner, simple=simple, distance=i)
+        assert got == oracle_symmetric_members(inner, outer, k, n_inner, simple, distance=i)
+
+
+@pytest.mark.parametrize("inner,outer,k,n_inner", [(4, 4, 3, 3), (3, 4, 3, 4)])
+def test_order_not_dividing_outer_degree_has_no_members(inner, outer, k, n_inner):
+    assert census.rooted_family(outer, inner, n_inner, outer_simple=True)
+    assert oracle_symmetric_members(inner, outer, k, n_inner) == []
+    assert census.symmetric_members(inner, outer, k, n_inner) == []
+
+
+def test_size_cap_still_fires():
+    with pytest.raises(census.SizeCapExceeded):
+        census.symmetric_members(4, 4, 2, 10)
+    with pytest.raises(census.SizeCapExceeded):
+        census.symmetric_members(4, 8, 3, 12, force=True)
+
+
+# (name, family, sphere, whether some map has several minimal roots)
+FAMILIES = [
+    ("plane quadrangulations", lambda: census.rooted_quadrangulations(4, simple=False), False, True),
+    ("quadrangular 2-dissections", lambda: census.rooted_quad_2_dissections(3), False, False),
+    ("triangular 1-dissections", lambda: census.rooted_tri_1_dissections(3), False, False),
+    ("sphere quadrangulations", lambda: census.rooted_sphere_quads(3), True, True),
+    ("sphere triangulations", lambda: census.rooted_sphere_tris(4), True, True),
+]
+
+
+@pytest.mark.parametrize("name,family,sphere,ties", FAMILIES, ids=[f[0] for f in FAMILIES])
+def test_unrooted_code_matches_oracle(name, family, sphere, ties):
+    fam = family()
+    assert fam
+    tied = 0  # maps with several minimal roots, where the marks break the tie
+    for m in fam:
+        rootings = minimal_rootings(m, sphere)
+        tied += len(rootings[1]) > 1
+        for v in (None, *range(m.n_vertices)):
+            for e in (None, *range(m.n_edges)):
+                expect = oracle_unrooted_code(m, pointed=v, marked_edge=e, sphere=sphere)
+                assert unrooted_code(m, pointed=v, marked_edge=e, sphere=sphere) == expect
+                assert marked_code(m, rootings, pointed=v, marked_edge=e) == expect
+    assert bool(tied) == ties

@@ -72,7 +72,7 @@ class TestClassicalQuotient:
             (4, 4, 2, 4, False),
             (4, 6, 3, 6, False),
             (3, 3, 3, 3, True),
-            (3, 6, 2, 4, False),
+            (3, 6, 2, 6, False),
         ]:
             for sym in census.symmetric_members(inner, outer, k, n_inner, simple=simple):
                 assert all(verify_quotient_lemmas(sym).values())
@@ -102,7 +102,7 @@ class TestClassicalQuotient:
             (census.symmetric_members(4, 4, 2, 4), 2, 4),
             (census.symmetric_members(4, 6, 3, 6), 3, 6),
             (census.symmetric_members(3, 3, 3, 3), 3, 3),
-            (census.symmetric_members(3, 6, 2, 4), 2, 2),
+            (census.symmetric_members(3, 6, 2, 6), 2, 2),
         ]
         for members, k, bound in suites:
             for sym in members:

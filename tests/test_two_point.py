@@ -9,7 +9,7 @@ class TestQuadAgainstCensus:
     def test_coefficients_are_census_counts(self, i):
         F = S.two_point("quad", i, 4)
         for n in range(1, 5):
-            assert F[n] == census.count_two_point_quad(n, i)
+            assert F[n] == census.two_point_quad_table(n).get(i, 0)
 
     def test_vanishing_beyond_diameter(self):
         for n in (1, 2, 3):
