@@ -14,7 +14,7 @@ if os.environ.get("MAPQUOT_PURE_PYTHON"):
     COMPILED = False
 else:
     try:
-        from mapquot._census_c import run_census  # type: ignore[no-redefderive]
+        from mapquot._census_c import run_census  # type: ignore[no-redef]
 
         COMPILED = True
     except ImportError:

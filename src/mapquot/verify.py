@@ -7,6 +7,7 @@ into this module so there is a single source of truth.
 from __future__ import annotations
 
 import math
+import os
 import time
 from fractions import Fraction
 from typing import Callable, Iterable
@@ -86,56 +87,55 @@ def check_closed_forms(small: bool = False) -> tuple[bool, str]:
 
 def check_cross_series(small: bool = False) -> tuple[bool, str]:
     """Derived-series identities and the direct-solution equations."""
-    y = S.TruncSeries.x(20)
-    q = S.named("q", 21)
-    g_quad = S.named("g_quad", 20)
-    ok = (y * g_quad - q.truncate(20)).is_zero()
-    ok &= (S.named("g_tri", 20) - S.named("t", 20)).is_zero()
-    ok &= (S.named("d3_tri", 15) - S.d3_closed_form(15)).is_zero()
-    # the rooted pointed 2-dissection series coincides with q'
-    d = S.named("d_quad", 15)
-    qp = S.named("q", 16).derivative()
-    ok &= (d - qp).is_zero()
-    # direct-solution identities
-    r = S.named("q", 22).derivative()  # order 21
     x = S.TruncSeries.x(20)
-    ok &= ((r + 1) * (r * (r + 2) + 2 * x * r.derivative() * (r - 1))).truncate(20).is_zero()
-    # conserved quantity of the derivative equation: 4q - 2xr + xr^2 = 0
-    ok &= (4 * S.named("q", 20) - 2 * x * r + x * r * r).is_zero()
+    r = S.named("q", 22).derivative()  # order 21
     rt = S.named("t", 21).derivative()  # order 20
-    ok &= ((x * rt * rt + 1) ** 2 - rt).is_zero()
-    # tree-substitution identities from the direct proofs
     a3 = S.named("alpha_ternary", 20)
-    ok &= (x - (a3 - 1) / a3**3).is_zero()
-    ok &= (r - (2 * a3 - 2)).is_zero()
     a4 = S.named("alpha_quaternary", 20)
-    ok &= (rt - a4 * a4).is_zero()
-    return ok, "g/q/t, d3, and direct-solution identities"
+    identities = [
+        ("x g_quad = q", (x * S.named("g_quad", 20) - S.named("q", 21).truncate(20)).is_zero()),
+        ("g_tri = t", (S.named("g_tri", 20) - S.named("t", 20)).is_zero()),
+        ("d3_tri closed form", (S.named("d3_tri", 15) - S.d3_closed_form(15)).is_zero()),
+        # the rooted pointed 2-dissection series coincides with q'
+        ("d_quad = q'", (S.named("d_quad", 15) - S.named("q", 16).derivative()).is_zero()),
+        # direct-solution identities
+        ("q' equation", ((r + 1) * (r * (r + 2) + 2 * x * r.derivative() * (r - 1)))
+         .truncate(20).is_zero()),
+        ("conserved 4q - 2xq' + xq'^2", (4 * S.named("q", 20) - 2 * x * r + x * r * r).is_zero()),
+        ("t' equation", ((x * rt * rt + 1) ** 2 - rt).is_zero()),
+        # tree-substitution identities from the direct proofs
+        ("x = (a3 - 1)/a3^3", (x - (a3 - 1) / a3**3).is_zero()),
+        ("q' = 2 a3 - 2", (r - (2 * a3 - 2)).is_zero()),
+        ("t' = a4^2", (rt - a4 * a4).is_zero()),
+    ]
+    failed = [name for name, ok in identities if not ok]
+    if failed:
+        return False, "failed identities: " + ", ".join(failed)
+    return True, "g/q/t, d3, and direct-solution identities"
 
 
 def check_census_series(small: bool = False) -> tuple[bool, str]:
     """Exhaustive counts match series coefficients."""
-    q = S.named("q", 10)
-    t = S.named("t", 10)
-    qmax = 5 if small else 6
-    details = []
+    families = [  # census family as a function of n, and the series whose [n] counts it
+        ("simple quadrangulations", lambda n: census.rooted_quadrangulations(n, simple=True),
+         "q", S.named("q", 10), range(2, 6 if small else 7)),
+        ("simple triangulations", lambda n: census.rooted_triangulations(2 * n, simple=True),
+         "t", S.named("t", 10), range(1, 4 if small else 5)),
+        ("sphere quadrangulations", census.rooted_sphere_quads,
+         "f_quad", S.named("f_quad", 6), range(1, 4 if small else 7)),
+        ("simply rooted sphere triangulations", lambda n: census.simply_rooted_sphere_tris(2 * n),
+         "f_tri", S.named("f_tri", 4), range(1, 4)),
+    ]
     ok = True
-    for n in range(2, qmax + 1):
-        c = len(census.rooted_quadrangulations(n, simple=True))
-        ok &= c == q[n]
-        details.append(c)
-    tmax = 3 if small else 4
-    for n in range(1, tmax + 1):
-        c = len(census.rooted_triangulations(2 * n, simple=True))
-        ok &= c == t[n]
-    # sphere families against f
-    f_quad = S.named("f_quad", 6)
-    for n in range(1, 4 if small else 7):
-        ok &= len(census.rooted_sphere_quads(n)) == f_quad[n]
-    f_tri = S.named("f_tri", 4)
-    for n in range(1, 4):
-        ok &= len(census.simply_rooted_sphere_tris(2 * n)) == f_tri[n]
-    return ok, f"q counts {details}, t and sphere families match"
+    counts = {}
+    for family, members, name, coeffs, indices in families:
+        for n in indices:
+            c = len(members(n))
+            if not c:
+                return False, f"no {family} for {name}[{n}]"
+            ok &= c == coeffs[n]
+            counts.setdefault(name, []).append(c)
+    return ok, f"q counts {counts['q']}, t and sphere families match"
 
 
 def check_bijections(small: bool = False) -> tuple[bool, str]:
@@ -144,6 +144,8 @@ def check_bijections(small: bool = False) -> tuple[bool, str]:
     qmax = 3 if small else 4
     for n in range(1, qmax + 1):
         members = census.symmetric_simple_quadrangulations(n)
+        if not members:
+            return False, f"no symmetric simple quadrangulations of size {n}"
         expect = census.marked_edge_count(census.rooted_quadrangulations(n + 1, simple=True))
         images = set()
         for sym in members:
@@ -158,6 +160,8 @@ def check_bijections(small: bool = False) -> tuple[bool, str]:
     ok &= census.count_symmetric(3, 3, 3, 6, simple=True) == 0
     for n in (1, 3):
         members = census.symmetric_simple_triangulations(n)
+        if not members:
+            return False, f"no symmetric simple triangulations of size {n}"
         expect = census.marked_edge_count(census.rooted_triangulations(n + 1, simple=True))
         images = set()
         for sym in members:
@@ -235,11 +239,11 @@ def check_orientations(small: bool = False) -> tuple[bool, str]:
                 if deg == 4
                 else census.rooted_triangulations(n, simple=False)
             )
-            for m in fam:
-                feasible = has_d_orientation(m, d)
-                ok &= feasible == is_simple(m)
-                if not feasible:
-                    continue
+            feasible = [m for m in fam if has_d_orientation(m, d)]
+            ok &= feasible == [m for m in fam if is_simple(m)]
+            if not feasible:
+                return False, f"no {d}-orientable maps among {len(fam)} of degree {deg}, size {n}"
+            for m in feasible:
                 o = find_d_orientation(m, d)
                 mo = minimize(o)
                 ok &= is_minimal(mo)
@@ -271,6 +275,8 @@ def check_two_point_census(small: bool = False) -> tuple[bool, str]:
     F = {i: S.two_point("quad", i, nmax) for i in (1, 2, 3)}
     for n in range(1, nmax + 1):
         table = census.two_point_quad_table(n)
+        if not table:
+            return False, f"empty two-point quadrangulation table at size {n}"
         ok &= all(F[i][n] == table.get(i, 0) for i in F)
     imax = 2
     ntri = 3 if small else 4
@@ -377,7 +383,10 @@ def run_suite(
         try:
             ok, detail = fn(small)
         except Exception as exc:  # a crash is a failure, not an abort
-            ok, detail = False, f"{type(exc).__name__}: {exc}"
+            import traceback  # imported on a crash only, to keep it out of CLI start-up
+            where = traceback.extract_tb(exc.__traceback__)[-1]
+            at = f"{os.path.basename(where.filename)}:{where.lineno} in {where.name}"
+            ok, detail = False, f"{type(exc).__name__}: {exc} ({at})"
         results.append(
             {
                 "check": name,

@@ -1,5 +1,6 @@
 import pytest
 
+import kernel_oracle
 from mapquot import _census_py
 from mapquot.maps import PlaneMap, canonical_code
 
@@ -34,6 +35,31 @@ def test_pure_kernel_output_is_valid_and_duplicate_free(case):
 @pytest.mark.parametrize("case", CASES)
 def test_kernels_agree(case):
     assert _census_py.run_census(**case) == _census_c.run_census(**case)
+
+
+ORACLE_PROFILES = [
+    (4, 4, 5), (3, 3, 7), (6, 4, 4), (8, 4, 3), (2, 4, 4),
+    (1, 3, 7), (6, 3, 4), (3, 3, 2), (4, 4, 0),
+]
+ORACLE_FLAGS = [
+    {},
+    dict(require_outer_simple=True),
+    dict(require_simple=True),
+    dict(require_loopless=True),
+    dict(require_simple=True, require_outer_simple=True),
+    dict(require_loopless=True, require_outer_simple=True),
+]
+
+
+def test_pure_kernel_matches_whole_state_oracle():
+    maps = nonempty = 0
+    for profile in ORACLE_PROFILES:
+        for flags in ORACLE_FLAGS:
+            got = _census_py.run_census(*profile, **flags)
+            assert got == kernel_oracle.run_census(*profile, **flags), (profile, flags)
+            maps += len(got)
+            nonempty += bool(got)
+    assert (maps, nonempty) == (134801, 39)
 
 
 def test_odd_dart_count_yields_nothing():

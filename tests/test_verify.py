@@ -1,0 +1,67 @@
+"""Failure reports of the verify checks: an empty census family, a broken
+series identity and a crashing check each say what failed and where."""
+
+import pytest
+
+from mapquot import census, verify
+from mapquot import series as S
+
+
+def _empty_at(monkeypatch, module, name, size, empty):
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda n, *a, **kw: empty if n == size else real(n, *a, **kw))
+
+
+@pytest.mark.parametrize(
+    "check,patched,size,empty,expected",
+    [
+        ("bijections", "symmetric_simple_quadrangulations", 2, [],
+         "no symmetric simple quadrangulations of size 2"),
+        ("bijections", "symmetric_simple_triangulations", 3, [],
+         "no symmetric simple triangulations of size 3"),
+        ("orientations", "rooted_triangulations", 4, [],
+         "no 3-orientable maps among 0 of degree 3, size 4"),
+        ("census_series", "rooted_sphere_quads", 2, [],
+         "no sphere quadrangulations for f_quad[2]"),
+        ("census_series", "simply_rooted_sphere_tris", 4, [],
+         "no simply rooted sphere triangulations for f_tri[2]"),
+        ("two_point_census", "two_point_quad_table", 2, {},
+         "empty two-point quadrangulation table at size 2"),
+    ],
+    ids=["bijections-quad", "bijections-tri", "orientations", "census-sphere-quad",
+         "census-sphere-tri", "two-point"],
+)
+def test_empty_census_family_fails_with_its_name_and_size(
+    monkeypatch, check, patched, size, empty, expected
+):
+    _empty_at(monkeypatch, census, patched, size, empty)
+    ok, detail = verify.CHECKS[check](True)
+    assert not ok
+    assert detail == expected
+
+
+def test_orientations_fail_when_no_map_is_orientable(monkeypatch):
+    monkeypatch.setattr(verify, "has_d_orientation", lambda m, d: False)
+    ok, detail = verify.check_orientations(small=True)
+    assert not ok
+    n_maps = len(census.rooted_quadrangulations(2, simple=False))
+    assert detail == f"no 2-orientable maps among {n_maps} of degree 4, size 2"
+    assert n_maps > 0
+
+
+def test_cross_series_names_the_broken_identity(monkeypatch):
+    monkeypatch.setattr(S, "d3_closed_form", lambda order: S.TruncSeries.zero(order))
+    ok, detail = verify.check_cross_series()
+    assert not ok
+    assert detail == "failed identities: d3_tri closed form"
+
+
+def test_run_suite_reports_where_a_check_crashed(monkeypatch):
+    def crashes(small):
+        raise ValueError("boom")
+
+    monkeypatch.setitem(verify.CHECKS, "crashes", crashes)
+    (result,) = verify.run_suite(["crashes"])
+    line = crashes.__code__.co_firstlineno + 1
+    assert not result["ok"]
+    assert result["detail"] == f"ValueError: boom (test_verify.py:{line} in crashes)"
