@@ -45,13 +45,20 @@ def _series_payload(name: str, ts: S.TruncSeries) -> dict:
     }
 
 
+def _two_point_payload(args) -> dict:
+    ts = S.two_point(args.family, args.i, args.order)
+    payload = _series_payload(f"two_point[{args.family}, i={args.i}]", ts)
+    quad = args.family.startswith("quad")  # the size conventions of S.two_point
+    payload["size_convention"] = "(inner faces)/k" if quad else "n, with (2n+1)k inner faces"
+    return payload
+
+
 def cmd_series(args) -> int:
     if args.name == "two_point":
         if args.family is None or args.i is None:
             print("error: --name two_point needs --family and --i", file=sys.stderr)
             return 2
-        ts = S.two_point(args.family, args.i, args.order)
-        _emit(_series_payload(f"two_point[{args.family}, i={args.i}]", ts))
+        _emit(_two_point_payload(args))
         return 0
     ts = S.named(args.name, args.order)
     _emit(_series_payload(args.name, ts))
@@ -59,8 +66,7 @@ def cmd_series(args) -> int:
 
 
 def cmd_two_point(args) -> int:
-    ts = S.two_point(args.family, args.i, args.order)
-    payload = _series_payload(f"two_point[{args.family}, i={args.i}]", ts)
+    payload = _two_point_payload(args)
     payload["family"] = args.family
     payload["distance"] = args.i
     _emit(payload)

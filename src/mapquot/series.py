@@ -1,10 +1,12 @@
 """Truncated formal power series with exact rational coefficients, and the
 catalogue of counting series for planar dissections.
 
-Everything is computed by contractive fixpoint iteration or order-by-order
-extraction; every algebraic series carries a residual check of its defining
-equation.  Counting series are verified to have non-negative integer
-coefficients before being exposed as counts.
+Each algebraic series is defined by the residual of its equation alone and
+solved from it by Newton iteration with doubling precision, which checks the
+residual of the result; the ODE-defined `q` and `t` are solved by contractive
+fixpoint iteration, and the rest by series arithmetic.  Counting series are
+verified to have non-negative integer coefficients before being exposed as
+counts.
 """
 
 from __future__ import annotations
@@ -283,22 +285,48 @@ def laurent_reciprocal(s: TruncSeries) -> Laurent:
     return Laurent(-v, TruncSeries.const(1, unit.order).divide(unit))
 
 
+def _pad(s: TruncSeries, order: int) -> TruncSeries:
+    """s with zero coefficients appended up to `order`."""
+    return TruncSeries(s.coeffs + (Fraction(0),) * (order - s.order))
+
+
 def fixpoint_solve(
-    step: Callable[[TruncSeries], TruncSeries],
-    order: int,
-    start=None,
-    name: str = "",
+    step: Callable[[TruncSeries], TruncSeries], order: int, name: str = ""
 ) -> TruncSeries:
     """Solve s = step(s) by contractive iteration (one new coefficient per
     step), working at progressively growing truncation orders.  Raises
     NonContractive when the final full-order pass still moves."""
-    s = TruncSeries.zero(0) if start is None else start.truncate(0)
+    s = TruncSeries.zero(0)
     for m in range(order + 1):
-        if s.order < m:
-            s = TruncSeries(s.coeffs + (Fraction(0),) * (m - s.order))
-        s = step(s).truncate(m)
+        s = step(_pad(s, m)).truncate(m)
     if step(s).truncate(order) != s:
         raise NonContractive(name or "fixpoint iteration did not stabilise")
+    return s
+
+
+def newton_solve(
+    residual: Callable[[TruncSeries], TruncSeries], order: int, start, name: str = ""
+) -> TruncSeries:
+    """Solve residual(s) = 0 from the constant term `start` by Newton
+    iteration, doubling the exact coefficients each step (Brent and Kung).
+    If s is exact mod x^p and m = min(2p, order + 1), then F(s + x^p) - F(s)
+    = F'(s) x^p mod x^m, so the residual, which must truncate to the order of
+    its argument, also gives the derivative.  A derivative that is not a unit
+    raises DivisorNotUnit at the first step (its constant term never changes);
+    a result that misses the equation raises NonContractive."""
+    s = TruncSeries.const(start, 0)
+    p = 1
+    while p <= order:
+        m = min(2 * p, order + 1)
+        s = _pad(s, m - 1)
+        r = residual(s)
+        d = (residual(s + TruncSeries.const(1, m - 1).shift(p)) - r).shift(-p)
+        # r vanishes mod x^p unless `start` is no root, which the final check reports
+        step = TruncSeries(r.coeffs[p:]).divide(d)
+        s = s - TruncSeries((0,) * p + step.coeffs)
+        p = m
+    if not residual(s).is_zero():
+        raise NonContractive(name or "Newton iteration did not reach a root")
     return s
 
 
@@ -370,7 +398,8 @@ def algebraic(name: str, order: int) -> AlgebraicSeries:
     builder = _ALGEBRAIC.get(name)
     if builder is None:
         raise UnknownName(f"no algebraic series named {name!r}")
-    return builder(order)
+    start, residual = builder(order)
+    return AlgebraicSeries(name, newton_solve(residual, order, start, name), residual)
 
 
 def _one(order: int) -> TruncSeries:
@@ -381,99 +410,81 @@ def _x(order: int) -> TruncSeries:
     return TruncSeries.x(order)
 
 
-# fixpoint definitions: each returns (series, residual) pairs via AlgebraicSeries
+# algebraic definitions: each returns (constant term of the root, residual)
 
 
 def _alg_P_quad(order):
     x = _x(order)
-    s = fixpoint_solve(lambda P: 1 + 3 * x * P * P, order, start=_one(order), name="P_quad")
-    return AlgebraicSeries("P_quad", s, lambda P: P - 1 - 3 * x * P * P)
+    return 1, lambda P: P - 1 - 3 * x * P * P
 
 
 def _alg_alpha_ternary(order):
     x = _x(order)
-    s = fixpoint_solve(lambda a: 1 + x * a**3, order, start=_one(order), name="alpha_ternary")
-    return AlgebraicSeries("alpha_ternary", s, lambda a: a - 1 - x * a**3)
+    return 1, lambda a: a - 1 - x * a**3
 
 
 def _alg_alpha_quaternary(order):
     x = _x(order)
-    s = fixpoint_solve(lambda a: 1 + x * a**4, order, start=_one(order), name="alpha_quaternary")
-    return AlgebraicSeries("alpha_quaternary", s, lambda a: a - 1 - x * a**4)
+    return 1, lambda a: a - 1 - x * a**4
 
 
 def _alg_X_quad(order):
     P = named("P_quad", order)
-    coef = (P - 1) / 3
-    s = fixpoint_solve(lambda X: coef * (X * X + X + 1), order, name="X_quad")
     # cleared form of X + 1/X + 1 = 3/(P-1)
-    return AlgebraicSeries("X_quad", s, lambda X: (P - 1) * (X * X + X + 1) - 3 * X)
+    return 0, lambda X: (P - 1) * (X * X + X + 1) - 3 * X
 
 
 def _alg_Q_quad(order):
     y = _x(order)
-    s = fixpoint_solve(lambda Q: 1 + y * Q**3, order, start=_one(order), name="Q_quad")
-    return AlgebraicSeries("Q_quad", s, lambda Q: Q - 1 - y * Q**3)
+    return 1, lambda Q: Q - 1 - y * Q**3
 
 
 def _alg_Y_quad(order):
     Q = named("Q_quad", order)
-    s = fixpoint_solve(lambda Y: (Q - 1) * (Y * Y + 1), order, name="Y_quad")
-    return AlgebraicSeries("Y_quad", s, lambda Y: (Q - 1) * (Y * Y + 1) - Y)
+    return 0, lambda Y: (Q - 1) * (Y * Y + 1) - Y
 
 
 def _alg_R_quad(order):
     z = _x(order)
-    s = fixpoint_solve(lambda R: z + R * R, order, name="R_quad")
-    return AlgebraicSeries("R_quad", s, lambda R: R - z - R * R)
+    return 0, lambda R: R - z - R * R
 
 
 def _alg_Z_quad(order):
     R = named("R_quad", order)
-    s = fixpoint_solve(lambda Z: R * (Z * Z + 1), order, name="Z_quad")
-    return AlgebraicSeries("Z_quad", s, lambda Z: R * (Z * Z + 1) - Z)
+    return 0, lambda Z: R * (Z * Z + 1) - Z
 
 
 def _alg_P_tri(order):
     x = _x(order)
-    s = fixpoint_solve(
-        lambda P: (1 + 8 * x * P**3).sqrt(), order, start=_one(order), name="P_tri"
-    )
-    return AlgebraicSeries("P_tri", s, lambda P: P * P - 1 - 8 * x * P**3)
+    return 1, lambda P: P * P - 1 - 8 * x * P**3
 
 
 def _alg_X_tri(order):
     P = named("P_tri", order)
-    coef = (P * P - 1) / 8
-    s = fixpoint_solve(lambda X: coef * (X + 1) ** 2, order, name="X_tri")
     # cleared form of X + 1/X + 2 = 8/(P^2-1)
-    return AlgebraicSeries("X_tri", s, lambda X: (P * P - 1) * (X + 1) ** 2 - 8 * X)
+    return 0, lambda X: (P * P - 1) * (X + 1) ** 2 - 8 * X
 
 
 def _alg_Q_tri(order):
     y = _x(order)
-    s = fixpoint_solve(lambda Q: y / (1 - Q) ** 3, order, name="Q_tri")
-    return AlgebraicSeries("Q_tri", s, lambda Q: Q * (1 - Q) ** 3 - y)
+    return 0, lambda Q: Q * (1 - Q) ** 3 - y
 
 
 def _alg_Y_tri(order):
     Q = named("Q_tri", order)
-    s = fixpoint_solve(lambda Y: Q * (Y + 1) ** 2, order, name="Y_tri")
     # cleared form of Y + 1/Y + 2 = 1/Q
-    return AlgebraicSeries("Y_tri", s, lambda Y: Q * (Y + 1) ** 2 - Y)
+    return 0, lambda Y: Q * (Y + 1) ** 2 - Y
 
 
 def _alg_R_tri(order):
     z = _x(order)
-    s = fixpoint_solve(lambda R: z / (1 - R) ** 2, order, name="R_tri")
-    return AlgebraicSeries("R_tri", s, lambda R: R * (1 - R) ** 2 - z)
+    return 0, lambda R: R * (1 - R) ** 2 - z
 
 
 def _alg_Z_tri(order):
     R = named("R_tri", order)
-    s = fixpoint_solve(lambda Z: R * (Z * Z + Z + 1), order, name="Z_tri")
     # cleared form of Z + 1/Z + 1 = 1/R
-    return AlgebraicSeries("Z_tri", s, lambda Z: R * (Z * Z + Z + 1) - Z)
+    return 0, lambda Z: R * (Z * Z + Z + 1) - Z
 
 
 _ALGEBRAIC = {
@@ -519,14 +530,6 @@ def solve_t(order: int) -> TruncSeries:
 
     r = fixpoint_solve(step, order, name="t")
     return r.integrate().truncate(order)
-
-
-def _build_q(order):
-    return solve_q(order)
-
-
-def _build_t(order):
-    return solve_t(order)
 
 
 def _build_f_quad(order):
@@ -578,10 +581,6 @@ def _build_d_quad(order):
 def _build_s_tri(order):
     t = named("t", order + 1)
     return _x(order) * t.derivative()
-
-
-def _build_t_vertex(order):
-    return _build_s_tri(order)
 
 
 def _build_t_edge(order):
@@ -637,8 +636,8 @@ def d3_closed_form(order: int) -> TruncSeries:
 
 
 _BUILDERS: dict[str, Callable[[int], TruncSeries]] = {
-    "q": _build_q,
-    "t": _build_t,
+    "q": solve_q,
+    "t": solve_t,
     "f_quad": _build_f_quad,
     "g_quad": _build_g_quad,
     "f_tri": _build_f_tri,
@@ -649,7 +648,7 @@ _BUILDERS: dict[str, Callable[[int], TruncSeries]] = {
     "a_edge": _build_a_edge,
     "d_quad": _build_d_quad,
     "s_tri": _build_s_tri,
-    "t_vertex": _build_t_vertex,
+    "t_vertex": _build_s_tri,
     "t_edge": _build_t_edge,
     "t_rootedge": _build_t_rootedge,
     "u_tri": _build_u_tri,
@@ -658,25 +657,6 @@ _BUILDERS: dict[str, Callable[[int], TruncSeries]] = {
 }
 for _name in _ALGEBRAIC:
     _BUILDERS[_name] = lambda order, _n=_name: algebraic(_n, order).series
-
-
-#: level-variable series per two-point family
-_X_BY_FAMILY = {
-    "quad": "X_quad",
-    "quad_simple": "Y_quad",
-    "quad_irred": "Z_quad",
-    "tri": "X_tri",
-    "tri_simple": "Y_tri",
-    "tri_irred": "Z_tri",
-}
-
-
-def solve_X(family: str, order: int) -> AlgebraicSeries:
-    """The distance variable of a two-point family, with its residual check."""
-    name = _X_BY_FAMILY.get(family)
-    if name is None:
-        raise UnknownName(f"no level variable for family {family!r}")
-    return algebraic(name, order)
 
 
 # -- two-point families -------------------------------------------------------

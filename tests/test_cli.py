@@ -38,6 +38,15 @@ class TestSeriesCommand:
         payload = json.loads(out)
         assert payload["coeffs"] == ["0", "1", "5", "28", "172", "1129", "7782"]
 
+    def test_two_point_size_conventions(self, capsys):
+        _, out = run_cli(capsys, "two-point", "--family", "quad_simple", "--i", "1", "--order", "4")
+        assert json.loads(out)["size_convention"] == "(inner faces)/k"
+        _, out = run_cli(
+            capsys, "series", "--name", "two_point", "--family", "tri_irred", "--i", "2",
+            "--order", "4",
+        )
+        assert json.loads(out)["size_convention"] == "n, with (2n+1)k inner faces"
+
     def test_deterministic_output(self, capsys):
         _, out1 = run_cli(capsys, "series", "--name", "t", "--order", "10")
         _, out2 = run_cli(capsys, "series", "--name", "t", "--order", "10")

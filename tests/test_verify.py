@@ -1,5 +1,8 @@
 """Failure reports of the verify checks: an empty census family, a broken
-series identity and a crashing check each say what failed and where."""
+series or series identity and a crashing check each say what failed and
+where."""
+
+from fractions import Fraction
 
 import pytest
 
@@ -54,6 +57,68 @@ def test_cross_series_names_the_broken_identity(monkeypatch):
     ok, detail = verify.check_cross_series()
     assert not ok
     assert detail == "failed identities: d3_tri closed form"
+
+
+@pytest.fixture
+def cold_series_caches():
+    """Series caches emptied before and after, so that a patched series
+    reaches the series built from it and is forgotten afterwards."""
+    caches = (S.named, S.algebraic, S._quad_level, S._tri_level)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
+def test_residuals_name_the_broken_series(monkeypatch, cold_series_caches):
+    real = S.algebraic
+
+    def algebraic(name, order):
+        alg = real(name, order)
+        if name != "Y_tri":
+            return alg
+        return S.AlgebraicSeries(name, alg.series + S.TruncSeries.x(order) ** 5, alg.residual)
+
+    monkeypatch.setattr(S, "algebraic", algebraic)
+    ok, detail = verify.check_residuals_substitutions(small=True)
+    assert not ok
+    assert detail.startswith("failed: residual Y_tri")
+    assert "residual" not in detail[len("failed: residual Y_tri"):]
+
+
+def test_positivity_names_the_broken_series(monkeypatch):
+    real = S.two_point
+
+    def two_point(family, i, order):
+        ts = real(family, i, order)
+        return ts + Fraction(1, 2) if (family, i) == ("tri_irred", 2) else ts
+
+    monkeypatch.setattr(S, "two_point", two_point)
+    ok, detail = verify.check_positivity(small=True)
+    assert not ok
+    assert detail == "failed: integrality two_point[tri_irred, i=2]"
+
+
+def test_closed_forms_name_the_broken_coefficient(monkeypatch):
+    real = S.named
+
+    def named(name, order):
+        ts = real(name, order)
+        return ts + S.TruncSeries.x(order) ** 7 if name == "t" else ts
+
+    monkeypatch.setattr(S, "named", named)
+    ok, detail = verify.check_closed_forms(small=True)
+    assert not ok
+    assert detail == "failed: t a4^2 = (a4 - 2)(1 - a4), t[7] factorial"
+
+
+def test_series_golden_is_timed_from_a_cold_cache():
+    S.named("q", 30)
+    ok, _ = verify.check_series_golden()
+    info = S.named.cache_info()
+    assert ok
+    assert (info.hits, info.misses) == (0, 2)
 
 
 def test_run_suite_reports_where_a_check_crashed(monkeypatch):
