@@ -1,8 +1,8 @@
 """Exact workbench for planar dissections.
 
 Plane maps are dart rotation systems (maps.py); an exhaustive census of
-small rooted maps (census.py, with a compiled kernel when available) serves
-as the oracle for the orientation machinery (orientations.py), the quotient
+small rooted maps (census.py, over the kernel in kernel.py) serves as the
+oracle for the orientation machinery (orientations.py), the quotient
 constructions (quotient.py) and the exact counting series (series.py).
 """
 
@@ -15,7 +15,6 @@ from mapquot.maps import (
     PlaneMap,
     PointedMap,
     SymmetricMap,
-    build_map,
     canonical_code,
     distances_from,
     enclosing_girth,
@@ -36,7 +35,6 @@ __all__ = [
     "PlaneMap",
     "PointedMap",
     "SymmetricMap",
-    "build_map",
     "canonical_code",
     "distances_from",
     "enclosing_girth",

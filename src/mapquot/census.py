@@ -8,7 +8,7 @@ for plane maps and at every dart for sphere maps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional
 
@@ -334,15 +334,6 @@ class CensusQuery:
     force: bool = False
 
 
-@dataclass(frozen=True)
-class CensusResult:
-    count: int
-    witnesses: tuple = field(default_factory=tuple)
-
-
-WITNESS_CAP = 64
-
-
 def generate(q: CensusQuery) -> Iterator[PlaneMap]:
     """Rooted census members for plain queries (symmetric/pointed queries
     yield the underlying plane maps of their witnesses)."""
@@ -391,8 +382,3 @@ def generate(q: CensusQuery) -> Iterator[PlaneMap]:
     if s.irreducible:
         fam = [m for m in fam if is_irreducible(m, s.inner_face_degree)]
     yield from fam
-
-
-def count(q: CensusQuery) -> CensusResult:
-    members = list(generate(q))
-    return CensusResult(len(members), tuple(members[:WITNESS_CAP]))

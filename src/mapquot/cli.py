@@ -131,16 +131,20 @@ def cmd_orient(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.jobs < 1:
+        print(f"error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
+        return 2
     names = list(CHECKS) if args.suite == "all" else args.suite.split(",")
     unknown = [n for n in names if n not in CHECKS]
     if unknown:
         print(f"unknown checks: {', '.join(unknown)}", file=sys.stderr)
         return 2
     small = args.max_size == "small"
-    if args.jobs > 1:
+    jobs = min(args.jobs, len(names))
+    if jobs > 1:
         import multiprocessing
 
-        with multiprocessing.Pool(args.jobs) as pool:
+        with multiprocessing.Pool(jobs) as pool:
             chunks = pool.starmap(run_suite, [([n], small) for n in names])
         results = [r for chunk in chunks for r in chunk]
     else:

@@ -1,25 +1,162 @@
-"""Census kernel selection: compiled extension when available, else pure Python.
+"""The census kernel, in pure Python.
 
-Set MAPQUOT_PURE_PYTHON=1 to force the fallback (used by the benchmark and by
-tests that compare the two implementations).
+Enumerates rooted genus-0 maps with one face of degree ``outer_deg`` (the
+root face, on the left of dart 0) and ``n_inner`` faces of degree
+``inner_deg``, by gluing polygon sides.  The smallest unglued side is glued
+either to a side on its own boundary cycle (which keeps the surface planar)
+or to the first side of a fresh polygon.  Every rooted map of the family is
+produced from exactly one gluing sequence, so the output is duplicate-free
+by construction.
+
+Family constraints (no loops, no multiple edges, outer contour simple) are
+pruned during the search: once two corners have been identified they stay
+identified, so an edge whose endpoints currently coincide is a loop in every
+completion, and two edges with the same endpoint pair now are parallel in
+every completion.
+
+Corner t is in vertex class label[t], and class r lists its corners in
+members[r]; a union relabels the smaller class.  Gluing d to b adds an edge
+between, and merges corners only into, the classes of d and b, so a new loop,
+multiple edge or pair of identified outer corners lies in label[d] or
+label[b].  The root state has no edges and distinct outer corners, and the
+search descends only from states that pass, so family_ok checks those two.
 """
 
 from __future__ import annotations
 
-import os
+# perfbench/run.py records this flag, and perfbench/compare.py refuses to
+# compare runs where it differs.
+COMPILED = False
 
-if os.environ.get("MAPQUOT_PURE_PYTHON"):
-    from mapquot._census_py import run_census
 
-    COMPILED = False
-else:
-    try:
-        from mapquot._census_c import run_census  # type: ignore[no-redef]
+def run_census(
+    outer_deg: int,
+    inner_deg: int,
+    n_inner: int,
+    require_simple: bool = False,
+    require_loopless: bool = False,
+    require_outer_simple: bool = False,
+) -> list[list[int]]:
+    """All rooted maps of the family, as sigma arrays (alpha = xor 1, root 0)."""
+    n_blocks = 1 + n_inner
+    total = outer_deg + n_inner * inner_deg
+    if total % 2 != 0:
+        return []
 
-        COMPILED = True
-    except ImportError:
-        from mapquot._census_py import run_census  # type: ignore[no-redef]
+    # polygon structure
+    offsets = [0] * (n_blocks + 1)
+    offsets[0] = 0
+    for b in range(1, n_blocks + 1):
+        offsets[b] = outer_deg + (b - 1) * inner_deg
+    phi_next = [0] * total
+    for b in range(n_blocks):
+        start, deg = offsets[b], (outer_deg if b == 0 else inner_deg)
+        for i in range(deg):
+            phi_next[start + i] = start + (i + 1) % deg
 
-        COMPILED = False
+    partner = [-1] * total
+    label = list(range(total))  # vertex class of each corner
+    members = [[t] for t in range(total)]  # corners of each class
+    trail: list[tuple[int, int] | None] = []
+    edges: list[int] = []  # flat pairs a0,b0,a1,b1,...
+    results: list[list[int]] = []
 
-__all__ = ["run_census", "COMPILED"]
+    def union(x: int, y: int) -> None:
+        rx, ry = label[x], label[y]
+        if rx == ry:
+            trail.append(None)
+            return
+        if len(members[rx]) < len(members[ry]):
+            rx, ry = ry, rx
+        moved = members[ry]
+        for t in moved:
+            label[t] = rx
+        members[rx].extend(moved)
+        trail.append((rx, ry))
+
+    def undo_union() -> None:
+        merged = trail.pop()
+        if merged is not None:
+            rx, ry = merged
+            moved = members[ry]
+            del members[rx][-len(moved):]
+            for t in moved:
+                label[t] = ry
+
+    def family_ok(d: int, b: int) -> bool:
+        rd, rb = label[d], label[b]
+        for r in (rd,) if rd == rb else (rd, rb):
+            corners = members[r]
+            if require_outer_simple and label[:outer_deg].count(r) > 1:
+                return False
+            if require_simple or require_loopless:
+                nbrs = [label[partner[t]] for t in corners if partner[t] >= 0]
+                if r in nbrs:
+                    return False
+                if require_simple and len(set(nbrs)) != len(nbrs):
+                    return False
+        return True
+
+    def bnext(s: int) -> int:
+        t = phi_next[s]
+        while partner[t] >= 0:
+            t = phi_next[partner[t]]
+        return t
+
+    def emit() -> list[int]:
+        new = [0] * total
+        for j in range(0, len(edges), 2):
+            new[edges[j]] = j
+            new[edges[j + 1]] = j + 1
+        sigma = [0] * total
+        for t in range(total):
+            sigma[new[t]] = new[phi_next[partner[t]]]
+        return sigma
+
+    def glue(d: int, b: int) -> None:
+        partner[d] = b
+        partner[b] = d
+        edges.append(d)
+        edges.append(b)
+        union(d, phi_next[b])
+        union(b, phi_next[d])
+
+    def unglue(d: int, b: int) -> None:
+        undo_union()
+        undo_union()
+        edges.pop()
+        edges.pop()
+        partner[d] = -1
+        partner[b] = -1
+
+    def rec(scan_from: int, opened: int) -> None:
+        opened_end = offsets[opened]
+        d = scan_from
+        while d < opened_end and partner[d] >= 0:
+            d += 1
+        if d == opened_end:
+            if opened == n_blocks:
+                results.append(emit())
+            return
+        # candidates on the boundary cycle through d
+        cands = []
+        c = bnext(d)
+        while c != d:
+            cands.append(c)
+            c = bnext(c)
+        if opened == n_blocks and len(cands) % 2 == 0:
+            return  # odd cycle cannot close without fresh faces
+        for b in cands:
+            glue(d, b)
+            if family_ok(d, b):
+                rec(d + 1, opened)
+            unglue(d, b)
+        if opened < n_blocks:
+            b = opened_end
+            glue(d, b)
+            if family_ok(d, b):
+                rec(d + 1, opened + 1)
+            unglue(d, b)
+
+    rec(0, 1)
+    return results

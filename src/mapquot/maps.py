@@ -189,11 +189,6 @@ class PlaneMap:
         return f"PlaneMap(n_darts={self.n_darts}, root={self.root_dart})"
 
 
-def build_map(sigma: Sequence[int], root_dart: int = 0) -> PlaneMap:
-    """Validate a rotation system and return the plane map it encodes."""
-    return PlaneMap(sigma, root_dart)
-
-
 @dataclass(frozen=True)
 class PointedMap:
     """Plane map with a marked inner vertex."""

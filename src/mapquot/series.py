@@ -250,41 +250,6 @@ class TruncSeries:
         return out
 
 
-@dataclass(frozen=True)
-class Laurent:
-    """Minimal Laurent wrapper: x**offset * series.  Only what the finite-order
-    reciprocal checks need."""
-
-    offset: int
-    series: TruncSeries
-
-    @staticmethod
-    def from_series(s: TruncSeries) -> "Laurent":
-        return Laurent(0, s)
-
-    def __mul__(self, other: "Laurent") -> "Laurent":
-        return Laurent(self.offset + other.offset, self.series * other.series)
-
-    def __add__(self, other: "Laurent") -> "Laurent":
-        off = min(self.offset, other.offset)
-        a = self.series.shift(self.offset - off)
-        b = other.series.shift(other.offset - off)
-        return Laurent(off, a + b)
-
-    def __sub__(self, other: "Laurent") -> "Laurent":
-        return self + Laurent(other.offset, -other.series)
-
-    def is_zero(self) -> bool:
-        return self.series.is_zero()
-
-
-def laurent_reciprocal(s: TruncSeries) -> Laurent:
-    """1/s for a series of positive valuation, as a Laurent element."""
-    v = s.valuation()
-    unit = s.shift(-v)
-    return Laurent(-v, TruncSeries.const(1, unit.order).divide(unit))
-
-
 def _pad(s: TruncSeries, order: int) -> TruncSeries:
     """s with zero coefficients appended up to `order`."""
     return TruncSeries(s.coeffs + (Fraction(0),) * (order - s.order))

@@ -46,8 +46,9 @@ GOLDEN_T = [0, 1, 1, 3, 13, 68, 399, 2530, 16965]
 
 
 def _named_result(results, detail: str, failed: str = "failed") -> tuple[bool, str]:
-    """(ok, detail) from named sub-results; a failure lists every one that broke."""
-    broken = [name for name, ok in results if not ok]
+    """(ok, detail) from named sub-results; a failure lists, once each, every
+    name that broke."""
+    broken = list(dict.fromkeys(name for name, ok in results if not ok))
     return not broken, f"{failed}: " + ", ".join(broken) if broken else detail
 
 
@@ -205,30 +206,31 @@ def _symmetric_suite(small: bool):
 
 def check_quotient_lemmas(small: bool = False) -> tuple[bool, str]:
     """Count/distance/quasi-simplicity relations for every symmetric census
-    member and every unroll output."""
-    ok = True
+    member and every unroll output, named by lemma and family."""
+    checks = []
     count = 0
     for family, members in _symmetric_suite(small):
         if not members:
             return False, f"no symmetric members for (inner, outer, k, n_inner, simple)={family}"
         for sym in members:
-            rep = verify_quotient_lemmas(sym)
-            ok &= all(rep.values())
+            checks += [(f"lemma {lemma} on {family}", ok)
+                       for lemma, ok in verify_quotient_lemmas(sym).items()]
             count += 1
     # unroll outputs round-trip and satisfy the lemmas
     for deg, sizes in ((4, (1, 2, 3)), (3, (1, 3))):
         for n in sizes:
             for p in census.pointed_dissection_classes(deg, n):
                 for k in (2, 3):
+                    where = f"unroll k={k} (degree {deg}, size {n})"
                     sym = unroll(p, k)
-                    rep = verify_quotient_lemmas(sym)
-                    ok &= all(rep.values())
+                    checks += [(f"lemma {lemma} on {where}", ok)
+                               for lemma, ok in verify_quotient_lemmas(sym).items()]
                     q = classical_quotient(sym)
-                    ok &= unrooted_code(q.base, pointed=q.pointed_vertex) == unrooted_code(
-                        p.base, pointed=p.pointed_vertex
-                    )
+                    checks.append((f"quotient round trip on {where}",
+                                   unrooted_code(q.base, pointed=q.pointed_vertex)
+                                   == unrooted_code(p.base, pointed=p.pointed_vertex)))
                     count += 1
-    return ok, f"{count} symmetric maps checked"
+    return _named_result(checks, f"{count} symmetric maps checked")
 
 
 def check_orientations(small: bool = False) -> tuple[bool, str]:

@@ -1,4 +1,4 @@
-"""Whole-state census kernel, kept as the oracle for mapquot._census_py.
+"""Whole-state census kernel, kept as the oracle for mapquot.kernel.
 
 It runs the same search as the package kernel, but keeps vertex classes in a
 parent-pointer union-find and, after every gluing, rescans every glued edge

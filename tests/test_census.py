@@ -132,15 +132,15 @@ class TestSymmetric:
 class TestQueries:
     def test_generate_plain(self):
         q = census.CensusQuery(DissectionSpec(4, 4, simple=True), 4)
-        assert census.count(q).count == Q_SIMPLE[4]
+        assert len(list(census.generate(q))) == Q_SIMPLE[4]
 
     def test_generate_symmetric(self):
         spec = DissectionSpec(4, 4, simple=True, symmetry_k=2)
-        assert census.count(census.CensusQuery(spec, 2)).count == 3
+        assert len(list(census.generate(census.CensusQuery(spec, 2)))) == 3
 
     def test_generate_pointed(self):
         spec = DissectionSpec(4, 2, pointed=True, quasi_simple=True)
-        assert census.count(census.CensusQuery(spec, 2)).count == 3
+        assert len(list(census.generate(census.CensusQuery(spec, 2)))) == 3
 
     def test_cap_enforced(self):
         with pytest.raises(census.SizeCapExceeded):

@@ -1,5 +1,8 @@
 import io
+import itertools
 import json
+import multiprocessing
+import shlex
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -21,6 +24,18 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out
+
+
+def test_readme_commands_exit_0(capsys):
+    """Every README "Command line" example that reads no stdin succeeds."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()]
+    commands = [argv for argv in commands if argv[1] in ("series", "two-point", "enumerate")]
+    assert [argv[1] for argv in commands] == ["series", "two-point", "enumerate", "enumerate"]
+    for argv in commands:
+        code = main(argv[1:])
+        assert code == 0, (" ".join(argv), capsys.readouterr().err)
 
 
 class TestSeriesCommand:
@@ -135,6 +150,39 @@ class TestVerifyCommand:
     def test_unknown_check_is_usage_error(self, capsys):
         code, _ = run_cli(capsys, "verify", "--suite", "nonsense")
         assert code == 2
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_is_a_usage_error(self, capsys, jobs):
+        code = main(["verify", "--suite", "series_golden", "--jobs", jobs])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: --jobs must be at least 1, got {jobs}\n"
+
+    def test_pool_is_no_larger_than_the_suite(self, capsys, monkeypatch):
+        requested = []
+
+        class InProcessPool:  # records its size and starts no process
+            def __init__(self, processes):
+                requested.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def starmap(self, fn, args):
+                return list(itertools.starmap(fn, args))
+
+        monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+        two = ["verify", "--suite", "series_golden,cross_series", "--max-size", "small"]
+        code, out = run_cli(capsys, *two, "--jobs", "64")
+        assert code == 0
+        assert [r["check"] for r in json.loads(out)["results"]] == ["series_golden", "cross_series"]
+        code, _ = run_cli(capsys, "verify", "--suite", "series_golden", "--jobs", "4")
+        assert code == 0
+        assert requested == [2]
 
 
 class TestRenderCommand:

@@ -12,7 +12,6 @@ from mapquot.maps import (
     PlaneMap,
     PointedMap,
     SymmetricMap,
-    build_map,
     canonical_code,
     cycle_interior,
     distances_from,
@@ -52,25 +51,25 @@ class TestBuildMap:
 
     def test_odd_dart_count_rejected(self):
         with pytest.raises(NotAPermutation):
-            build_map([0, 2, 1])
+            PlaneMap([0, 2, 1])
 
     def test_non_permutation_rejected(self):
         with pytest.raises(NotAPermutation):
-            build_map([0, 0, 1, 2])
+            PlaneMap([0, 0, 1, 2])
 
     def test_empty_rejected(self):
         with pytest.raises(NotAPermutation):
-            build_map([])
+            PlaneMap([])
 
     def test_disconnected_rejected(self):
         sq = [7, 2, 1, 4, 3, 6, 5, 0]
         two = sq + [d + 8 for d in sq]
         with pytest.raises(Disconnected):
-            build_map(two)
+            PlaneMap(two)
 
     def test_torus_rejected(self):
         with pytest.raises(NonPlanar):
-            build_map(torus_sigma())
+            PlaneMap(torus_sigma())
 
 
 class TestFaceDegrees:

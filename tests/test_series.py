@@ -10,10 +10,8 @@ from mapquot.series import (
     BadDistance,
     DivisorNotUnit,
     InnerNotNilpotent,
-    Laurent,
     TruncSeries,
     UnknownName,
-    laurent_reciprocal,
 )
 
 GOLDEN_Q = [0, 0, 1, 2, 6, 22, 91, 408, 1938]
@@ -103,19 +101,6 @@ class TestSolvers:
 
     def test_residuals(self):
         assert all(S.check_residuals(20).values())
-
-    def test_reciprocal_solves_cleared_relation(self):
-        # X -> 1/X symmetry of the cleared level-variable equation
-        order = 14
-        P = S.named("P_quad", order)
-        X = S.named("X_quad", order)
-        rec = laurent_reciprocal(X)
-        lhs = (
-            Laurent.from_series(P - 1) * (rec * rec + rec + Laurent.from_series(TruncSeries.const(1, order)))
-            - Laurent.from_series(TruncSeries.const(3, order)) * rec
-        )
-        # clearing x^2 keeps meaningful coefficients up to order - 2
-        assert lhs.series.truncate(order - 2).is_zero()
 
     def test_unknown_name(self):
         with pytest.raises(UnknownName):

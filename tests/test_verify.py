@@ -130,3 +130,18 @@ def test_run_suite_reports_where_a_check_crashed(monkeypatch):
     line = crashes.__code__.co_firstlineno + 1
     assert not result["ok"]
     assert result["detail"] == f"ValueError: boom (test_verify.py:{line} in crashes)"
+
+
+def test_quotient_lemmas_name_the_broken_lemma_and_family(monkeypatch):
+    def lemmas(sym):
+        return {"vertices": True, "enclosing_girth": sym.order_k != 3}
+
+    monkeypatch.setattr(verify, "verify_quotient_lemmas", lemmas)
+    ok, detail = verify.check_quotient_lemmas(small=True)
+    assert not ok
+    assert detail == "failed: " + ", ".join(
+        [f"lemma enclosing_girth on {family}"
+         for family in ((4, 6, 3, 3, False), (4, 6, 3, 6, False), (3, 3, 3, 3, True))]
+        + [f"lemma enclosing_girth on unroll k=3 (degree {deg}, size {n})"
+           for deg, n in ((4, 1), (4, 2), (4, 3), (3, 1), (3, 3))]
+    )
