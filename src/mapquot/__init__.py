@@ -19,7 +19,6 @@ from mapquot.maps import (
     distances_from,
     enclosing_girth,
     face_degrees,
-    find_rotation_automorphisms,
     is_irreducible,
     is_quasi_simple,
     is_simple,
@@ -39,7 +38,6 @@ __all__ = [
     "distances_from",
     "enclosing_girth",
     "face_degrees",
-    "find_rotation_automorphisms",
     "is_irreducible",
     "is_quasi_simple",
     "is_simple",

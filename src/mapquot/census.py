@@ -19,9 +19,7 @@ from mapquot.maps import (
     PlaneMap,
     PointedMap,
     SymmetricMap,
-    automorphism_from,
     distances_from,
-    find_rotation_automorphisms,
     fixed_vertex,
     is_irreducible,
     is_quasi_simple,
@@ -29,6 +27,7 @@ from mapquot.maps import (
     marked_code,
     minimal_rootings,
     radial_distance,
+    rotation,
     unrooted_code,
 )
 
@@ -74,18 +73,14 @@ def rooted_family(
     inner_deg: int,
     n_inner: int,
     simple: bool = False,
-    loopless: bool = False,
     outer_simple: bool = False,
 ) -> tuple[PlaneMap, ...]:
     """All rooted maps with the given face-degree profile, one per class."""
+    if n_inner < 0:
+        raise MapError(f"a family needs at least 0 inner faces, got {n_inner}")
     _guard_edges(outer_deg, inner_deg, n_inner)
     sigmas = run_census(
-        outer_deg,
-        inner_deg,
-        n_inner,
-        require_simple=simple,
-        require_loopless=loopless,
-        require_outer_simple=outer_simple,
+        outer_deg, inner_deg, n_inner, require_simple=simple, require_outer_simple=outer_simple
     )
     return tuple(PlaneMap(s, 0) for s in sigmas)
 
@@ -239,29 +234,19 @@ def symmetric_members(
     """k-symmetric dissections found by full-size generation plus rotation
     detection (independent of the quotient machinery).
 
-    An order-k rotation fixing the outer face has a power shifting the root
-    outer_deg/k steps along the contour, so a rooted map is kept only if that
-    shift extends to an automorphism; the survivors, in family order, are then
-    reduced to unrooted classes and searched for rotations about an inner vertex.
+    Each rooted map is tested with one maps.rotation call; the maps with an
+    order-k rotation about an inner vertex, in family order, are reduced to
+    unrooted classes, each kept with its least such rotation.
     """
     _guard(n_inner, "symmetric_inner", force)
     fam = rooted_family(
         outer_deg, inner_deg, n_inner, simple=simple, outer_simple=True
     )
-    # family maps are rooted at dart 0, so their outer face tuple starts at the root
-    step = outer_deg // k if outer_deg % k == 0 else None
-    survivors = [
-        m for m in fam
-        if step is not None and automorphism_from(m, m.faces[m.outer_face][step]) is not None
-    ]
+    rotations = {m: rho for m in fam if (rho := rotation(m, k)) is not None}
     out = []
-    for m in unrooted_classes(survivors):
-        rots = [(kk, rho) for kk, rho in find_rotation_automorphisms(m) if kk == k]
-        if not rots:
-            continue
-        _, rho = min(rots, key=lambda t: t[1])
-        center = fixed_vertex(m, rho)
-        p = PointedMap(m, center)
+    for m in unrooted_classes(rotations):
+        rho = rotations[m]
+        p = PointedMap(m, fixed_vertex(m, rho))
         if distance is not None and radial_distance(p) != distance:
             continue
         out.append(SymmetricMap(p, k, rho))
@@ -338,6 +323,14 @@ def generate(q: CensusQuery) -> Iterator[PlaneMap]:
     """Rooted census members for plain queries (symmetric/pointed queries
     yield the underlying plane maps of their witnesses)."""
     s = q.spec
+    if q.distance is not None and not (s.pointed or s.symmetry_k):
+        raise MapError("a distance filter needs a pointed or symmetric family")
+    if s.quasi_simple and not s.pointed:
+        raise MapError("quasi-simplicity applies to pointed families only")
+    if s.pointed and (s.simple or s.symmetry_k):
+        raise MapError("pointed families are neither simple nor symmetric")
+    if s.pointed and s.outer_degree != s.inner_face_degree - 2:
+        raise MapError("pointed families have outer degree 2 (quadrangular) or 1 (triangular)")
     if s.symmetry_k:
         k = s.symmetry_k
         if s.inner_face_degree == 4:

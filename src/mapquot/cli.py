@@ -137,7 +137,7 @@ def cmd_verify(args) -> int:
     names = list(CHECKS) if args.suite == "all" else args.suite.split(",")
     unknown = [n for n in names if n not in CHECKS]
     if unknown:
-        print(f"unknown checks: {', '.join(unknown)}", file=sys.stderr)
+        print(f"error: unknown checks: {', '.join(unknown)}", file=sys.stderr)
         return 2
     small = args.max_size == "small"
     jobs = min(args.jobs, len(names))
@@ -221,6 +221,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if getattr(args, "order", 0) < 0:  # series and two-point
+        print("error: --order must be at least 0", file=sys.stderr)
+        return 2
     try:
         return args.fn(args)
     except (MapError, S.SeriesError, census.SizeCapExceeded, OSError) as exc:

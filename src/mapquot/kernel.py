@@ -34,7 +34,6 @@ def run_census(
     inner_deg: int,
     n_inner: int,
     require_simple: bool = False,
-    require_loopless: bool = False,
     require_outer_simple: bool = False,
 ) -> list[list[int]]:
     """All rooted maps of the family, as sigma arrays (alpha = xor 1, root 0)."""
@@ -89,11 +88,9 @@ def run_census(
             corners = members[r]
             if require_outer_simple and label[:outer_deg].count(r) > 1:
                 return False
-            if require_simple or require_loopless:
+            if require_simple:
                 nbrs = [label[partner[t]] for t in corners if partner[t] >= 0]
-                if r in nbrs:
-                    return False
-                if require_simple and len(set(nbrs)) != len(nbrs):
+                if r in nbrs or len(set(nbrs)) != len(nbrs):
                     return False
         return True
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from math import gcd
 from typing import Optional, Sequence
 
 
@@ -560,19 +561,6 @@ def automorphism_from(m: PlaneMap, image_of_root: int) -> Optional[tuple[int, ..
     return tuple(rho)
 
 
-def _perm_order(perm: Sequence[int]) -> int:
-    order = 1
-    for cyc in _orbits(perm):
-        order = order * len(cyc) // _gcd(order, len(cyc))
-    return order
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def fixed_vertex(m: PlaneMap, rho: Sequence[int]) -> Optional[int]:
     """The vertex fixed setwise by rho, if any."""
     for i, v in enumerate(m.vertices):
@@ -582,31 +570,30 @@ def fixed_vertex(m: PlaneMap, rho: Sequence[int]) -> Optional[int]:
     return None
 
 
-def find_rotation_automorphisms(
-    m: PlaneMap, center: Optional[int] = None
-) -> list[tuple[int, tuple[int, ...]]]:
-    """Nontrivial automorphisms fixing the outer face, grouped by order.
+def rotation(m: PlaneMap, k: int, center: Optional[int] = None) -> Optional[tuple[int, ...]]:
+    """Least automorphism of order k fixing the outer face and an inner vertex
+    (`center`, when given), or None.
 
-    When `center` is given, only rotations fixing that vertex are reported;
-    otherwise any rotation fixing some inner vertex qualifies.  Returns
-    (order, rho) pairs sorted by order then by rho.
+    An automorphism fixing the outer face commutes with phi, so it shifts the
+    outer contour; the order-k ones are the powers rho^j, j coprime to k, of the
+    one shifting the root outer/k steps.  All of them fix the same vertex.
     """
-    out = []
-    outer_set = m.outer_vertices()
-    for r in m.faces[m.outer_face]:
-        if r == m.root_dart:
-            continue
-        rho = automorphism_from(m, r)
-        if rho is None:
-            continue
-        fv = fixed_vertex(m, rho)
-        if fv is None or fv in outer_set:
-            continue
-        if center is not None and fv != center:
-            continue
-        out.append((_perm_order(rho), rho))
-    out.sort()
-    return out
+    contour = m.faces[m.outer_face]  # a phi orbit
+    outer = len(contour)
+    if k < 2 or outer % k:
+        return None
+    rho = automorphism_from(m, contour[(contour.index(m.root_dart) + outer // k) % outer])
+    if rho is None:
+        return None
+    fv = fixed_vertex(m, rho)
+    if fv is None or fv in m.outer_vertices() or center not in (None, fv):
+        return None
+    best = power = rho
+    for j in range(2, k):
+        power = tuple(rho[x] for x in power)
+        if gcd(j, k) == 1:
+            best = min(best, power)
+    return best
 
 
 # -- construction helpers --------------------------------------------------

@@ -1,12 +1,13 @@
 """Quotient constructions on symmetric dissections.
 
 The classical k-quotient collapses rotation orbits; its inverse (unroll)
-slits the map from the pointed vertex to the outer boundary and glues k
-copies of the slit map in a cycle.  The edge-marking quotients cut a
-symmetric simple quadrangulation or triangulation along the leftmost paths
-of the center's outgoing edges, keep one sector, and fold its boundary;
-their inverses slit along the marked edge's leftmost path and re-glue
-copies.
+slits the map from the pointed vertex to the outer boundary.  The
+edge-marking quotients cut a symmetric simple quadrangulation or
+triangulation along the leftmost paths of the center's outgoing edges, keep
+one sector, and fold its boundary; their inverses slit along the marked
+edge's leftmost path.  Every inverse ends in one k-fold cyclic cover
+(_cyclic_cover): k copies of the slit sector sewn in a cycle, returned with
+its least order-k rotation (maps.rotation).
 
 Surgery happens on a mutable rotation system with explicit edge pairing
 (_Surgeon); results are frozen back into validated PlaneMaps.  Dying darts
@@ -26,10 +27,10 @@ from mapquot.maps import (
     PointedMap,
     SymmetricMap,
     enclosing_girth,
-    find_rotation_automorphisms,
     is_quasi_simple,
     is_simple,
     radial_distance,
+    rotation,
     unrooted_code,
 )
 from mapquot.orientations import (
@@ -63,14 +64,8 @@ class _Surgeon:
         self.alias: dict[int, int] = {}
 
     @classmethod
-    def from_map(cls, m: PlaneMap, offset: int = 0) -> "_Surgeon":
-        sigma = {d + offset: m.sigma[d] + offset for d in range(m.n_darts)}
-        alpha = {d + offset: (d ^ 1) + offset for d in range(m.n_darts)}
-        return cls(sigma, alpha)
-
-    def absorb(self, other: "_Surgeon") -> None:
-        self.sigma.update(other.sigma)
-        self.alpha.update(other.alpha)
+    def from_map(cls, m: PlaneMap) -> "_Surgeon":
+        return cls(dict(enumerate(m.sigma)), {d: d ^ 1 for d in range(m.n_darts)})
 
     def resolve(self, d: int) -> int:
         while d in self.alias:
@@ -329,47 +324,45 @@ def _canonical_path_to_outer(m: PlaneMap, start: int) -> list[int]:
     return path
 
 
+def _cyclic_cover(sector: _Surgeon, arc_a, arc_b, k: int, root: int, center: int) -> SymmetricMap:
+    """k offset copies of a slit sector, arc_b of copy j sewn to arc_a of copy
+    j+1 in a cycle; rooted at `root` of copy 0 and pointed at the vertex of its
+    dart `center`, with the least order-k rotation about it."""
+    block = max(sector.sigma) + 1
+    big = _Surgeon({}, {})
+    for j in range(k):
+        off = j * block
+        big.sigma.update((x + off, y + off) for x, y in sector.sigma.items())
+        big.alpha.update((x + off, y + off) for x, y in sector.alpha.items())
+    for j in range(k):
+        b_off, a_off = j * block, (j + 1) % k * block
+        big.glue_path(
+            [big.resolve(x + b_off) for x in arc_b], [big.resolve(x + a_off) for x in arc_a]
+        )
+    cover, new = big.freeze(big.resolve(root))
+    c = cover.vertex_of[new[big.resolve(center)]]
+    rho = rotation(cover, k, c)
+    if rho is None:
+        raise ReconstructionFailed("the cyclic cover is not k-symmetric")
+    return SymmetricMap(PointedMap(cover, c), k, rho)
+
+
 def unroll(p: PointedMap, k: int) -> SymmetricMap:
     """k-fold cover branched at the pointed vertex and the outer face."""
     if k < 2:
         raise MapError("unroll needs k >= 2")
     m = p.base
     path = _canonical_path_to_outer(m, p.pointed_vertex)
-    n = m.n_darts
-    block = n + 2 * len(path)
-    outer = frozenset(m.faces[m.outer_face])
-
-    big = _Surgeon({}, {})
-    arcs_a, arcs_b = [], []
-    for j in range(k):
-        off = j * block
-        piece = _Surgeon.from_map(m, off)
-        twins = piece.slit(
-            [d + off for d in path],
-            split_tail=False,
-            fresh=off + n,
-            outer_darts=frozenset(d + off for d in outer),
-        )
-        big.absorb(piece)
-        contour = big.face_cycle(m.root_dart + off)
-        bank_a = {big.edge_key(d + off) for d in path}
-        bank_b = {big.edge_key(t) for t, _ in twins}
-        arcs_a.append([d for d in contour if big.edge_key(d) in bank_a])
-        arcs_b.append([d for d in contour if big.edge_key(d) in bank_b])
-
-    for j in range(k):
-        arc_b = [big.resolve(d) for d in arcs_b[j]]
-        arc_a = [big.resolve(d) for d in arcs_a[(j + 1) % k]]
-        big.glue_path(arc_b, arc_a)
-
-    cover, new = big.freeze(big.resolve(m.root_dart))
-    center_old = big.resolve(m.vertices[p.pointed_vertex][0])
-    center = cover.vertex_of[new[center_old]]
-    rots = [(kk, rho) for kk, rho in find_rotation_automorphisms(cover, center) if kk == k]
-    if not rots:
-        raise MapError("unrolled map lost its rotational symmetry")
-    _, rho = min(rots, key=lambda t: t[1])
-    return SymmetricMap(PointedMap(cover, center), k, rho)
+    sector = _Surgeon.from_map(m)
+    twins = sector.slit(
+        path, split_tail=False, fresh=m.n_darts, outer_darts=frozenset(m.faces[m.outer_face])
+    )
+    contour = sector.face_cycle(m.root_dart)
+    bank_a = {sector.edge_key(d) for d in path}
+    bank_b = {sector.edge_key(t) for t, _ in twins}
+    arc_a = [d for d in contour if sector.edge_key(d) in bank_a]
+    arc_b = [d for d in contour if sector.edge_key(d) in bank_b]
+    return _cyclic_cover(sector, arc_a, arc_b, k, m.root_dart, m.vertices[p.pointed_vertex][0])
 
 
 def verify_quotient_lemmas(s: SymmetricMap) -> dict[str, bool]:
@@ -517,19 +510,16 @@ def phi_tri(s: SymmetricMap) -> MarkedMap:
     return _phi_generic(s, 3, NotSymmetricSimpleTri)
 
 
-def _phi_inverse_generic(mm: MarkedMap, d: int) -> SymmetricMap:
-    m = mm.map
-    k = d
+def _phi_inverse_generic(m: PlaneMap, e: int, d: int) -> SymmetricMap:
+    """Rebuild the k = d symmetric map from its sector, and check the round trip."""
     want = 4 if d == 2 else 3
     if m.outer_degree() != want or not is_simple(m):
         raise MapError("marked map is not a simple map of the family")
     if any(len(f) != want for f in m.faces):
         raise MapError("marked map has faces of the wrong degree")
-    e = mm.marked_edge
-    outer = frozenset(m.faces[m.outer_face])
 
+    sector = _Surgeon.from_map(m)
     if e in m.outer_edges():
-        sector = _Surgeon.from_map(m)
         d0 = next(x for x in m.faces[m.outer_face] if x >> 1 == e)
         p = 1
     else:
@@ -537,11 +527,11 @@ def _phi_inverse_generic(mm: MarkedMap, d: int) -> SymmetricMap:
         s0 = o.along[e]
         lpath = leftmost_path(o, s0)
         p = len(lpath) + 1
-        sector = _Surgeon.from_map(m)
+        outer = frozenset(m.faces[m.outer_face])
         twins = sector.slit(lpath, split_tail=False, fresh=m.n_darts, outer_darts=outer)
         # the slit tip carries both copies of the marked edge; the contour
         # leaves the tip through one of them, preceded by the center->v1 dart
-        expected = 2 * p + m.outer_degree() // k
+        expected = 2 * p + m.outer_degree() // d
         d0 = None
         for c in (s0, twins[0][0]):
             if len(sector.face_cycle(c)) == expected:
@@ -552,50 +542,18 @@ def _phi_inverse_generic(mm: MarkedMap, d: int) -> SymmetricMap:
 
     contour = sector.face_cycle(d0)
     oq = len(contour) - 2 * p
-    if oq != m.outer_degree() // k:
+    if oq != m.outer_degree() // d:
         raise ReconstructionFailed("sector boundary has unexpected length")
-    p1_arc = contour[:p]
-    p2_arc = contour[p + oq :]
-
-    block = max(sector.sigma) + 2
-    big = _Surgeon({}, {})
-    arcs1, arcs2 = [], []
-    for j in range(k):
-        off = j * block
-        big.absorb(
-            _Surgeon(
-                {x + off: y + off for x, y in sector.sigma.items()},
-                {x + off: y + off for x, y in sector.alpha.items()},
-            )
-        )
-        arcs1.append([x + off for x in p1_arc])
-        arcs2.append([x + off for x in p2_arc])
-
-    for j in range(k):
-        arc2 = [big.resolve(x) for x in arcs2[j]]
-        arc1 = [big.resolve(x) for x in arcs1[(j + 1) % k]]
-        big.glue_path(arc2, arc1)
-
     # the outer-arc darts between the banks always stay on the boundary
-    root = big.resolve(contour[p])
-    cover, new = big.freeze(root)
-    center = cover.vertex_of[new[big.resolve(d0)]]
-    rots = [(kk, rho) for kk, rho in find_rotation_automorphisms(cover, center) if kk == k]
-    if not rots:
-        raise ReconstructionFailed("rebuilt map is not k-symmetric")
-    _, rho = min(rots, key=lambda t: t[1])
-    return SymmetricMap(PointedMap(cover, center), k, rho)
+    sym = _cyclic_cover(sector, contour[:p], contour[p + oq :], d, contour[p], d0)
+    if (phi if d == 2 else phi_tri)(sym).code() != unrooted_code(m, marked_edge=e):
+        raise ReconstructionFailed("round trip through the quotient failed")
+    return sym
 
 
 def phi_inverse(m: PlaneMap, marked_edge: int) -> SymmetricMap:
-    sym = _phi_inverse_generic(MarkedMap(m, marked_edge), 2)
-    if phi(sym).code() != unrooted_code(m, marked_edge=marked_edge):
-        raise ReconstructionFailed("round trip through the quotient failed")
-    return sym
+    return _phi_inverse_generic(m, marked_edge, 2)
 
 
 def phi_tri_inverse(m: PlaneMap, marked_edge: int) -> SymmetricMap:
-    sym = _phi_inverse_generic(MarkedMap(m, marked_edge), 3)
-    if phi_tri(sym).code() != unrooted_code(m, marked_edge=marked_edge):
-        raise ReconstructionFailed("round trip through the quotient failed")
-    return sym
+    return _phi_inverse_generic(m, marked_edge, 3)

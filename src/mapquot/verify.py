@@ -144,50 +144,44 @@ def check_census_series(small: bool = False) -> tuple[bool, str]:
 
 
 def check_bijections(small: bool = False) -> tuple[bool, str]:
-    """Edge-marking quotients: cardinalities, injectivity and round trips."""
-    ok = True
+    """Edge-marking quotients: cardinalities, injectivity and round trips,
+    named by quotient and size, and the rooted corollaries."""
     qmax = 3 if small else 4
-    for n in range(1, qmax + 1):
-        members = census.symmetric_simple_quadrangulations(n)
-        if not members:
-            return False, f"no symmetric simple quadrangulations of size {n}"
-        expect = census.marked_edge_count(census.rooted_quadrangulations(n + 1, simple=True))
-        images = set()
-        for sym in members:
-            mm = phi(sym)
-            images.add(mm.code())
-            back = phi_inverse(mm.map, mm.marked_edge)
-            ok &= unrooted_code(back.plane_map, pointed=back.center) == unrooted_code(
-                sym.plane_map, pointed=sym.center
-            )
-        ok &= len(images) == len(members) == expect
+    quotients = [  # name, quotient, inverse, symmetric members of size n, their image family
+        ("phi", phi, phi_inverse, census.symmetric_simple_quadrangulations, "quadrangulations",
+         census.rooted_quadrangulations, range(1, qmax + 1)),
+        ("phi_tri", phi_tri, phi_tri_inverse, census.symmetric_simple_triangulations,
+         "triangulations", census.rooted_triangulations, (1, 3)),
+    ]
+    checks = []
+    for name, quotient, inverse, members_of, noun, rooted, sizes in quotients:
+        for n in sizes:
+            members = members_of(n)
+            if not members:
+                return False, f"no symmetric simple {noun} of size {n}"
+            expect = census.marked_edge_count(rooted(n + 1, simple=True))
+            images = set()
+            for sym in members:
+                mm = quotient(sym)
+                images.add(mm.code())
+                back = inverse(mm.map, mm.marked_edge)
+                checks.append((f"round trip {name}, size {n}",
+                               unrooted_code(back.plane_map, pointed=back.center)
+                               == unrooted_code(sym.plane_map, pointed=sym.center)))
+            checks.append((f"cardinality {name}, size {n}", len(images) == len(members) == expect))
     # even sizes have no symmetric triangulations
-    ok &= census.count_symmetric(3, 3, 3, 6, simple=True) == 0
-    for n in (1, 3):
-        members = census.symmetric_simple_triangulations(n)
-        if not members:
-            return False, f"no symmetric simple triangulations of size {n}"
-        expect = census.marked_edge_count(census.rooted_triangulations(n + 1, simple=True))
-        images = set()
-        for sym in members:
-            mm = phi_tri(sym)
-            images.add(mm.code())
-            back = phi_tri_inverse(mm.map, mm.marked_edge)
-            ok &= unrooted_code(back.plane_map, pointed=back.center) == unrooted_code(
-                sym.plane_map, pointed=sym.center
-            )
-        ok &= len(images) == len(members) == expect
+    checks.append(("no symmetric simple triangulations, size 2",
+                   census.count_symmetric(3, 3, 3, 6, simple=True) == 0))
     # rooted corollaries: marked face <-> rooted quasi-simple pointed
-    for n in range(1, 4):
-        ok &= census.rooted_marked_face_quads(n) == census.rooted_quasi_simple_pointed_2d(n)
+    checks += [(f"marked face == quasi-simple pointed, size {n}",
+                census.rooted_marked_face_quads(n) == census.rooted_quasi_simple_pointed_2d(n))
+               for n in range(1, 4)]
     # triangular corollary: marked edge <-> quasi-simple pointed 1-dissections
-    for n in (1, 2, 3):
-        lhs = census.marked_edge_count(census.rooted_triangulations(2 * n, simple=True))
-        rhs = len(
-            census.pointed_dissection_classes(3, 2 * n - 1, quasi_simple=True)
-        )
-        ok &= lhs == rhs
-    return ok, f"theorem cardinalities and round trips to n={qmax}"
+    checks += [(f"marked edge == quasi-simple pointed 1-dissection, size {n}",
+                census.marked_edge_count(census.rooted_triangulations(2 * n, simple=True))
+                == len(census.pointed_dissection_classes(3, 2 * n - 1, quasi_simple=True)))
+               for n in (1, 2, 3)]
+    return _named_result(checks, f"theorem cardinalities and round trips to n={qmax}")
 
 
 def _symmetric_suite(small: bool):

@@ -28,7 +28,6 @@ def run_census(
     inner_deg: int,
     n_inner: int,
     require_simple: bool = False,
-    require_loopless: bool = False,
     require_outer_simple: bool = False,
 ) -> list[list[int]]:
     """All rooted maps of the family, as sigma arrays (alpha = xor 1, root 0)."""
@@ -82,17 +81,16 @@ def run_census(
             roots = {find(c) for c in range(outer_deg)}
             if len(roots) != outer_deg:
                 return False
-        if require_simple or require_loopless:
+        if require_simple:
             seen = set()
             for j in range(0, len(edges), 2):
                 ra, rb = find(edges[j]), find(edges[j + 1])
                 if ra == rb:
                     return False
-                if require_simple:
-                    key = (ra, rb) if ra < rb else (rb, ra)
-                    if key in seen:
-                        return False
-                    seen.add(key)
+                key = (ra, rb) if ra < rb else (rb, ra)
+                if key in seen:
+                    return False
+                seen.add(key)
         return True
 
     def bnext(s: int) -> int:

@@ -101,6 +101,48 @@ class TestEnumerateCommand:
         assert code == 2
 
 
+QUAD, TRI = ["--inner-degree", "4"], ["--inner-degree", "3"]
+ENUMERATE_USAGE_ERRORS = {
+    "size 0 quadrangulations": [*QUAD, "--outer-degree", "4", "--size", "0"],
+    "size 0 triangulations": [*TRI, "--outer-degree", "3", "--size", "0"],
+    "negative size": [*QUAD, "--outer-degree", "6", "--size", "-1"],
+    "negative size pointed": [*QUAD, "--outer-degree", "2", "--size", "-1", "--pointed"],
+    "negative size symmetric": [*QUAD, "--outer-degree", "4", "--size", "-1", "--symmetric", "2"],
+    "distance unpointed": [*QUAD, "--outer-degree", "4", "--size", "3", "--distance", "1"],
+    "quasi-simple unpointed": [*QUAD, "--outer-degree", "4", "--size", "3", "--quasi-simple"],
+    "quasi-simple symmetric": [
+        *QUAD, "--outer-degree", "4", "--size", "1", "--symmetric", "2", "--quasi-simple"],
+    "simple pointed": [*QUAD, "--outer-degree", "2", "--size", "2", "--pointed", "--simple"],
+    "symmetric pointed": [
+        *QUAD, "--outer-degree", "2", "--size", "2", "--pointed", "--symmetric", "2"],
+    "pointed outer 8": [*QUAD, "--outer-degree", "8", "--size", "2", "--pointed"],
+    "pointed triangular outer 3": [*TRI, "--outer-degree", "3", "--size", "1", "--pointed"],
+}
+
+
+@pytest.mark.parametrize("argv", ENUMERATE_USAGE_ERRORS.values(), ids=list(ENUMERATE_USAGE_ERRORS))
+def test_enumerate_rejects_what_it_cannot_honour(capsys, argv):
+    code = main(["enumerate", *argv, "--count-only"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["series", "--name", "P_quad", "--order", "-2"],
+    ["series", "--name", "q", "--order", "-1"],
+    ["series", "--name", "two_point", "--family", "quad", "--i", "1", "--order", "-1"],
+    ["two-point", "--family", "quad", "--i", "1", "--order", "-3"],
+])
+def test_negative_order_is_a_usage_error(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: --order must be at least 0\n"
+
+
 class TestQuotientCommands:
     def test_unroll_then_classic_round_trip(self, capsys, monkeypatch):
         import io, sys
@@ -148,8 +190,11 @@ class TestVerifyCommand:
         assert payload["results"][0]["check"] == "series_golden"
 
     def test_unknown_check_is_usage_error(self, capsys):
-        code, _ = run_cli(capsys, "verify", "--suite", "nonsense")
+        code = main(["verify", "--suite", "nonsense"])
+        captured = capsys.readouterr()
         assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: unknown checks: nonsense\n"
 
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_jobs_below_one_is_a_usage_error(self, capsys, jobs):

@@ -1,10 +1,14 @@
 """The census fast paths against the brute-force versions they replace.
 
 Symmetric detection filters rooted maps by one automorphism test before it
-computes any canonical code, and unrooted codes root each map once for all
-of its marks.  The oracles below are the direct definitions: unrooted
-classes over the whole family, and the least marked code over every root.
+computes any canonical code, rotations are found from one image of the root,
+and unrooted codes root each map once for all of its marks.  The oracles are
+the direct definitions: unrooted classes over the whole family, the rotation
+search over every outer dart (rotation_oracle), and the least marked code
+over every root.
 """
+
+import random
 
 import pytest
 
@@ -13,13 +17,16 @@ from mapquot.maps import (
     PointedMap,
     SymmetricMap,
     canonical_code,
-    find_rotation_automorphisms,
     fixed_vertex,
     marked_code,
     minimal_rootings,
     radial_distance,
+    relabel,
+    rotation,
     unrooted_code,
 )
+
+from rotation_oracle import find_rotation_automorphisms, least_rotation
 
 
 def oracle_unrooted_code(m, pointed=None, marked_edge=None, sphere=False):
@@ -37,10 +44,9 @@ def oracle_symmetric_members(inner, outer, k, n_inner, simple=False, distance=No
         classes.setdefault(oracle_unrooted_code(m), m)
     out = []
     for m in classes.values():
-        rots = [(kk, rho) for kk, rho in find_rotation_automorphisms(m) if kk == k]
-        if not rots:
+        rho = least_rotation(m, k)
+        if rho is None:
             continue
-        _, rho = min(rots, key=lambda t: t[1])
         p = PointedMap(m, fixed_vertex(m, rho))
         if distance is not None and radial_distance(p) != distance:
             continue
@@ -77,6 +83,51 @@ def test_order_not_dividing_outer_degree_has_no_members(inner, outer, k, n_inner
     assert census.rooted_family(outer, inner, n_inner, outer_simple=True)
     assert oracle_symmetric_members(inner, outer, k, n_inner) == []
     assert census.symmetric_members(inner, outer, k, n_inner) == []
+
+
+# (outer degree, inner degree, inner faces): trees, non-outer-simple and
+# non-simple maps, and rotations of orders 2, 3, 4 and 5
+ROTATION_FAMILIES = [(8, 4, 0), (4, 4, 2), (6, 3, 2), (6, 4, 3), (4, 3, 4), (5, 3, 5)]
+
+
+def shuffled(m, rng):
+    """m with its edges renumbered and reversed at random, so that the least
+    rotation is not always the one shifting the root outer/k steps."""
+    edges = list(range(m.n_edges))
+    rng.shuffle(edges)
+    flips = [rng.randrange(2) for _ in edges]
+    return relabel(m, [2 * edges[d >> 1] + (d & 1 ^ flips[d >> 1]) for d in range(m.n_darts)])
+
+
+@pytest.mark.parametrize("outer,inner,n_inner", ROTATION_FAMILIES)
+def test_rotation_matches_every_outer_dart_search(outer, inner, n_inner):
+    fam = census.rooted_family(outer, inner, n_inner)
+    assert fam
+    rng = random.Random(0)
+    found = 0
+    for m in (x for base in fam for x in (base, shuffled(base, rng))):
+        for c in (None, *range(m.n_vertices)):
+            rots = find_rotation_automorphisms(m, c)
+            for k in range(2, outer + 2):
+                expect = min((rho for kk, rho in rots if kk == k), default=None)
+                assert rotation(m, k, c) == expect, (m.sigma, k, c)
+                found += expect is not None
+    if (outer, n_inner) == (8, 0):
+        assert found == 0  # a tree has no inner vertex to turn about
+    else:
+        assert found
+
+
+def test_rotation_skips_powers_of_smaller_order():
+    (wheel,) = [m for m in census.rooted_family(4, 3, 4) if rotation(m, 4)]
+    rng = random.Random(1)
+    square_smaller = 0  # relabellings where the order-2 square is the least power
+    for _ in range(20):
+        m = shuffled(wheel, rng)
+        rho = rotation(m, 4)
+        assert rho == least_rotation(m, 4)
+        square_smaller += tuple(rho[x] for x in rho) < rho
+    assert square_smaller
 
 
 def test_size_cap_still_fires():

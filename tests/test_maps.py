@@ -17,12 +17,12 @@ from mapquot.maps import (
     distances_from,
     enclosing_girth,
     face_degrees,
-    find_rotation_automorphisms,
     is_irreducible,
     is_quasi_simple,
     is_simple,
     radial_distance,
     relabel,
+    rotation,
     simple_cycles,
     unrooted_code,
 )
@@ -38,6 +38,7 @@ from fixtures import (
     w_fan,
     w_fan_pointed,
 )
+from rotation_oracle import find_rotation_automorphisms
 
 
 class TestBuildMap:
@@ -209,6 +210,7 @@ class TestCanonicalCode:
 class TestRotationAutomorphisms:
     def test_square_has_none(self):
         assert find_rotation_automorphisms(square_map()) == []
+        assert all(rotation(square_map(), k) is None for k in range(2, 6))
 
     def test_hexagon_wheel_order_three(self):
         m = hexagon_wheel()
@@ -216,27 +218,29 @@ class TestRotationAutomorphisms:
         assert [k for k, _ in got] == [3, 3]
         center = m.inner_vertices()[0]
         assert find_rotation_automorphisms(m, center=center) == got
+        assert rotation(m, 3) == rotation(m, 3, center) == min(rho for _, rho in got)
+        assert rotation(m, 3, min(m.outer_vertices())) is None
+        assert rotation(m, 2) is rotation(m, 6) is None
 
     def test_cube_rotations_fix_no_vertex(self):
         assert find_rotation_automorphisms(cube()) == []
+        assert rotation(cube(), 2) is rotation(cube(), 4) is None
 
 
 class TestSymmetricMap:
     def test_hexagon_wheel_is_symmetric(self):
         m = hexagon_wheel()
         center = m.inner_vertices()[0]
-        k, rho = find_rotation_automorphisms(m, center=center)[0]
-        s = SymmetricMap(PointedMap(m, center), k, rho)
+        s = SymmetricMap(PointedMap(m, center), 3, rotation(m, 3, center))
         assert s.center == center
 
     def test_corrupted_rho_rejected(self):
         m = hexagon_wheel()
         center = m.inner_vertices()[0]
-        k, rho = find_rotation_automorphisms(m, center=center)[0]
-        bad = list(rho)
+        bad = list(rotation(m, 3, center))
         bad[0], bad[2] = bad[2], bad[0]
         with pytest.raises(MapError):
-            SymmetricMap(PointedMap(m, center), k, tuple(bad))
+            SymmetricMap(PointedMap(m, center), 3, tuple(bad))
 
 
 class TestEulerInvariants:

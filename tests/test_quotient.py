@@ -5,9 +5,9 @@ from mapquot.maps import (
     PointedMap,
     SymmetricMap,
     enclosing_girth,
-    find_rotation_automorphisms,
     is_quasi_simple,
     radial_distance,
+    rotation,
     unrooted_code,
 )
 from mapquot.quotient import (
@@ -23,6 +23,7 @@ from mapquot.quotient import (
 )
 
 from fixtures import hexagon_wheel, w_fan_pointed
+from rotation_oracle import find_rotation_automorphisms, least_rotation
 
 
 def pointed_code(p):
@@ -36,8 +37,7 @@ def symmetric_code(s):
 def hexagon_wheel_symmetric():
     m = hexagon_wheel()
     center = m.inner_vertices()[0]
-    k, rho = find_rotation_automorphisms(m, center=center)[0]
-    return SymmetricMap(PointedMap(m, center), k, rho)
+    return SymmetricMap(PointedMap(m, center), 3, rotation(m, 3, center))
 
 
 class TestClassicalQuotient:
@@ -62,6 +62,7 @@ class TestClassicalQuotient:
                 for k in (2, 3):
                     s = unroll(p, k)
                     assert s.order_k == k
+                    assert s.rho == least_rotation(s.plane_map, k, s.center)
                     q = classical_quotient(s)
                     assert pointed_code(q) == pointed_code(p)
 
@@ -92,6 +93,7 @@ class TestClassicalQuotient:
         assert s.order_k == 4
         rots = find_rotation_automorphisms(s.plane_map, center=s.center)
         assert any(k == 4 for k, _ in rots)
+        assert s.rho == least_rotation(s.plane_map, 4, s.center)
 
     def test_enclosing_cycle_length_bounds(self):
         # no cycle shorter than 2k (quadrangular) or k (triangular) strictly
@@ -135,6 +137,7 @@ class TestPhi:
                 mm = phi(sym)
                 back = phi_inverse(mm.map, mm.marked_edge)
                 assert symmetric_code(back) == symmetric_code(sym)
+                assert back.rho == least_rotation(back.plane_map, 2, back.center)
 
     def test_inverse_from_every_marked_edge(self):
         for n in (1, 2):

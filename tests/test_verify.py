@@ -145,3 +145,18 @@ def test_quotient_lemmas_name_the_broken_lemma_and_family(monkeypatch):
         + [f"lemma enclosing_girth on unroll k=3 (degree {deg}, size {n})"
            for deg, n in ((4, 1), (4, 2), (4, 3), (3, 1), (3, 3))]
     )
+
+
+def test_bijections_name_the_broken_round_trip(monkeypatch):
+    from mapquot import quotient
+
+    (tetrahedron,) = census.symmetric_simple_triangulations(1)
+
+    def inverse(m, marked_edge):  # every size-3 image comes back as the tetrahedron
+        back = quotient.phi_tri_inverse(m, marked_edge)
+        return tetrahedron if m.n_faces == 4 else back
+
+    monkeypatch.setattr(verify, "phi_tri_inverse", inverse)
+    ok, detail = verify.check_bijections(small=True)
+    assert not ok
+    assert detail == "failed: round trip phi_tri, size 3"
