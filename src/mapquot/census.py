@@ -67,6 +67,26 @@ def _guard(value: int, cap_key: str, force: bool) -> None:
         )
 
 
+class _Family:
+    """A rooted family, read-only.  Each map is kept as its kernel sigma in
+    bytes, one byte per dart (_guard_edges keeps families within 48 darts),
+    rooted at dart 0, and built into a PlaneMap only when it is reached."""
+
+    __slots__ = ("sigmas",)
+
+    def __init__(self, sigmas: tuple[bytes, ...]):
+        self.sigmas = sigmas
+
+    def __len__(self) -> int:
+        return len(self.sigmas)
+
+    def __iter__(self) -> Iterator[PlaneMap]:
+        return map(PlaneMap._trusted, self.sigmas)
+
+    def __getitem__(self, i: int) -> PlaneMap:
+        return PlaneMap._trusted(self.sigmas[i])
+
+
 @lru_cache(maxsize=None)
 def rooted_family(
     outer_deg: int,
@@ -74,7 +94,7 @@ def rooted_family(
     n_inner: int,
     simple: bool = False,
     outer_simple: bool = False,
-) -> tuple[PlaneMap, ...]:
+) -> _Family:
     """All rooted maps with the given face-degree profile, one per class."""
     if n_inner < 0:
         raise MapError(f"a family needs at least 0 inner faces, got {n_inner}")
@@ -82,7 +102,7 @@ def rooted_family(
     sigmas = run_census(
         outer_deg, inner_deg, n_inner, require_simple=simple, require_outer_simple=outer_simple
     )
-    return tuple(PlaneMap(s, 0) for s in sigmas)
+    return _Family(tuple(map(bytes, sigmas)))
 
 
 # -- plain rooted families -------------------------------------------------
@@ -112,11 +132,18 @@ def rooted_sphere_tris(n_faces: int, force: bool = False):
     return rooted_family(3, 3, n_faces - 1)
 
 
-def simply_rooted_sphere_tris(n_faces: int, force: bool = False):
-    """Sphere triangulations rooted at a non-loop dart."""
-    return tuple(
-        m for m in rooted_sphere_tris(n_faces, force) if not m.is_loop_edge(0)
-    )
+def simply_rooted_sphere_tris(n_faces: int, force: bool = False) -> _Family:
+    """Sphere triangulations rooted at a non-loop dart: edge 0 is a loop
+    exactly when dart 1 lies on the sigma-orbit of dart 0."""
+
+    def loop_at_root(sigma: bytes) -> bool:
+        d = sigma[0]
+        while d and d != 1:
+            d = sigma[d]
+        return d == 1
+
+    fam = rooted_sphere_tris(n_faces, force)
+    return _Family(tuple(s for s in fam.sigmas if not loop_at_root(s)))
 
 
 def rooted_quad_2_dissections(n_inner: int, force: bool = False):
@@ -234,15 +261,18 @@ def symmetric_members(
     """k-symmetric dissections found by full-size generation plus rotation
     detection (independent of the quotient machinery).
 
-    Each rooted map is tested with one maps.rotation call; the maps with an
-    order-k rotation about an inner vertex, in family order, are reduced to
-    unrooted classes, each kept with its least such rotation.
+    Each rooted sigma is tested with one maps.rotation call before any map is
+    built; the maps with an order-k rotation about an inner vertex, in family
+    order, are reduced to unrooted classes, each kept with its least such
+    rotation.
     """
     _guard(n_inner, "symmetric_inner", force)
     fam = rooted_family(
         outer_deg, inner_deg, n_inner, simple=simple, outer_simple=True
     )
-    rotations = {m: rho for m in fam if (rho := rotation(m, k)) is not None}
+    rotations = {
+        fam[i]: rho for i, s in enumerate(fam.sigmas) if (rho := rotation(s, 0, k)) is not None
+    }
     out = []
     for m in unrooted_classes(rotations):
         rho = rotations[m]
@@ -325,6 +355,8 @@ def generate(q: CensusQuery) -> Iterator[PlaneMap]:
     s = q.spec
     if q.distance is not None and not (s.pointed or s.symmetry_k):
         raise MapError("a distance filter needs a pointed or symmetric family")
+    if q.distance is not None and q.distance < 1:
+        raise MapError(f"a radial distance is at least 1, got {q.distance}")
     if s.quasi_simple and not s.pointed:
         raise MapError("quasi-simplicity applies to pointed families only")
     if s.pointed and (s.simple or s.symmetry_k):

@@ -17,7 +17,7 @@ from pathlib import Path
 from mapquot import census, jsonio, render
 from mapquot import series as S
 from mapquot.maps import DissectionSpec, MapError
-from mapquot.orientations import find_d_orientation, minimize
+from mapquot.orientations import minimal_d_orientation
 from mapquot.quotient import classical_quotient, phi, phi_tri, unroll
 from mapquot.verify import CHECKS, run_suite
 
@@ -125,7 +125,7 @@ def cmd_orient(args) -> int:
     rec = _read_record(args)
     m = rec["map"]
     d = 2 if m.face_degree(m.outer_face) == 4 else 3
-    o = minimize(find_d_orientation(m, d))
+    o = minimal_d_orientation(m, d)
     _emit(jsonio.map_record(m, orientation=o), args)
     return 0
 

@@ -4,7 +4,9 @@ A map is stored as a permutation ``sigma`` over an even number of darts
 0..n-1 plus a root dart.  The edge pairing is implicit: ``alpha(d) = d ^ 1``,
 so edge ``j`` consists of darts ``2j`` and ``2j + 1``.  Faces are the orbits
 of ``d -> sigma[d ^ 1]``; the orbit of the root dart is the outer face, which
-lies on the left of the root dart.  Genus 0 is enforced at construction.
+lies on the left of the root dart.  Genus 0 is enforced at construction;
+census kernel output, genus 0 by construction, is built unchecked
+(PlaneMap._trusted).
 
 Instances are immutable after validation and safe to share between workers.
 """
@@ -33,21 +35,23 @@ class NonPlanar(MapError):
     pass
 
 
-def _orbits(perm: Sequence[int]) -> list[tuple[int, ...]]:
-    n = len(perm)
-    seen = [False] * n
+def _orbits(perm: Sequence[int]) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
+    """The cycles of perm, in order of their least element, and the index of
+    the cycle through each element."""
+    orbit_of = [-1] * len(perm)
     out = []
-    for start in range(n):
-        if seen[start]:
+    for start in range(len(perm)):
+        if orbit_of[start] >= 0:
             continue
+        i = len(out)
         cyc = []
         d = start
-        while not seen[d]:
-            seen[d] = True
+        while orbit_of[d] < 0:
+            orbit_of[d] = i
             cyc.append(d)
             d = perm[d]
         out.append(tuple(cyc))
-    return out
+    return tuple(out), orbit_of
 
 
 class PlaneMap:
@@ -74,10 +78,6 @@ class PlaneMap:
         if not 0 <= root_dart < n:
             raise MapError("root dart out of range")
 
-        self.n_darts = n
-        self.sigma = sigma
-        self.root_dart = root_dart
-
         # connectivity: darts must form one orbit under <sigma, alpha>
         seen = [False] * n
         stack = [0]
@@ -93,24 +93,25 @@ class PlaneMap:
         if count != n:
             raise Disconnected("map is not connected")
 
-        phi = tuple(sigma[d ^ 1] for d in range(n))
-        faces = _orbits(phi)
-        vertices = _orbits(sigma)
-        face_of = [0] * n
-        for i, f in enumerate(faces):
-            for d in f:
-                face_of[d] = i
-        vertex_of = [0] * n
-        for i, v in enumerate(vertices):
-            for d in v:
-                vertex_of[d] = i
-
+        self._fill(sigma, root_dart)
         # Euler relation pins genus 0
-        if len(vertices) - n // 2 + len(faces) != 2:
+        if len(self.vertices) - n // 2 + len(self.faces) != 2:
             raise NonPlanar("Euler count v - e + f != 2")
 
-        self.faces = tuple(faces)
-        self.vertices = tuple(vertices)
+    @classmethod
+    def _trusted(cls, sigma: Sequence[int], root_dart: int = 0) -> "PlaneMap":
+        """A map from census kernel output, which is a connected genus-0
+        permutation by construction: none of the checks of __init__ run."""
+        m = cls.__new__(cls)
+        m._fill(tuple(sigma), root_dart)
+        return m
+
+    def _fill(self, sigma: tuple[int, ...], root_dart: int) -> None:
+        self.n_darts = len(sigma)
+        self.sigma = sigma
+        self.root_dart = root_dart
+        self.faces, face_of = _orbits([sigma[d ^ 1] for d in range(len(sigma))])
+        self.vertices, vertex_of = _orbits(sigma)
         self.face_of = tuple(face_of)
         self.vertex_of = tuple(vertex_of)
         self.outer_face = face_of[root_dart]
@@ -537,17 +538,18 @@ def unrooted_code(
     return marked_code(m, minimal_rootings(m, sphere), pointed, marked_edge)
 
 
-def automorphism_from(m: PlaneMap, image_of_root: int) -> Optional[tuple[int, ...]]:
+def automorphism_from(
+    sigma: Sequence[int], root: int, image_of_root: int
+) -> Optional[tuple[int, ...]]:
     """Dart bijection commuting with sigma and alpha sending root to the image.
 
     Returns None when no such map automorphism exists.  Rooted maps are rigid,
     so the image of one dart determines everything.
     """
-    sigma = m.sigma
-    n = m.n_darts
+    n = len(sigma)
     rho = [-1] * n
-    rho[m.root_dart] = image_of_root
-    stack = [m.root_dart]
+    rho[root] = image_of_root
+    stack = [root]
     while stack:
         d = stack.pop()
         for src, dst in ((sigma[d], sigma[rho[d]]), (d ^ 1, rho[d] ^ 1)):
@@ -561,32 +563,46 @@ def automorphism_from(m: PlaneMap, image_of_root: int) -> Optional[tuple[int, ..
     return tuple(rho)
 
 
-def fixed_vertex(m: PlaneMap, rho: Sequence[int]) -> Optional[int]:
-    """The vertex fixed setwise by rho, if any."""
-    for i, v in enumerate(m.vertices):
+def _fixed_orbit(vertices: Sequence[Sequence[int]], rho: Sequence[int]) -> Optional[int]:
+    """Index of the first vertex (a sigma orbit) that rho maps onto itself."""
+    for i, v in enumerate(vertices):
         darts = set(v)
         if all(rho[d] in darts for d in darts):
             return i
     return None
 
 
-def rotation(m: PlaneMap, k: int, center: Optional[int] = None) -> Optional[tuple[int, ...]]:
-    """Least automorphism of order k fixing the outer face and an inner vertex
-    (`center`, when given), or None.
+def fixed_vertex(m: PlaneMap, rho: Sequence[int]) -> Optional[int]:
+    """The vertex fixed setwise by rho, if any."""
+    return _fixed_orbit(m.vertices, rho)
+
+
+def rotation(
+    sigma: Sequence[int], root: int, k: int, center: Optional[int] = None
+) -> Optional[tuple[int, ...]]:
+    """Least automorphism of order k of the map (sigma, root) fixing the outer
+    face and an inner vertex (`center`, when given), or None.
 
     An automorphism fixing the outer face commutes with phi, so it shifts the
     outer contour; the order-k ones are the powers rho^j, j coprime to k, of the
     one shifting the root outer/k steps.  All of them fix the same vertex.
+    Vertices are numbered as in PlaneMap(sigma, root).  Only the rotation
+    system is read, so the census tests kernel output before it builds a map.
     """
-    contour = m.faces[m.outer_face]  # a phi orbit
+    contour = [root]  # the phi orbit of the root: the outer face
+    d = sigma[root ^ 1]
+    while d != root:
+        contour.append(d)
+        d = sigma[d ^ 1]
     outer = len(contour)
     if k < 2 or outer % k:
         return None
-    rho = automorphism_from(m, contour[(contour.index(m.root_dart) + outer // k) % outer])
+    rho = automorphism_from(sigma, root, contour[outer // k])
     if rho is None:
         return None
-    fv = fixed_vertex(m, rho)
-    if fv is None or fv in m.outer_vertices() or center not in (None, fv):
+    vertices, vertex_of = _orbits(sigma)
+    fv = _fixed_orbit(vertices, rho)
+    if fv is None or fv in {vertex_of[d] for d in contour} or center not in (None, fv):
         return None
     best = power = rho
     for j in range(2, k):

@@ -35,9 +35,8 @@ from mapquot.maps import (
 )
 from mapquot.orientations import (
     check_symmetric_minimal,
-    find_d_orientation,
     leftmost_path,
-    minimize,
+    minimal_d_orientation,
 )
 
 
@@ -341,7 +340,7 @@ def _cyclic_cover(sector: _Surgeon, arc_a, arc_b, k: int, root: int, center: int
         )
     cover, new = big.freeze(big.resolve(root))
     c = cover.vertex_of[new[big.resolve(center)]]
-    rho = rotation(cover, k, c)
+    rho = rotation(cover.sigma, cover.root_dart, k, c)
     if rho is None:
         raise ReconstructionFailed("the cyclic cover is not k-symmetric")
     return SymmetricMap(PointedMap(cover, c), k, rho)
@@ -403,7 +402,7 @@ def _sector_split(s: SymmetricMap, d: int):
     return (surgeon, contour dart center->v1 of the primary sector, p)."""
     m = s.plane_map
     k = s.order_k
-    o = minimize(find_d_orientation(m, d))
+    o = minimal_d_orientation(m, d)
     if not check_symmetric_minimal(s, o):
         raise MapError("minimal orientation is not rotation invariant")
     center_out = sorted(x for x in m.vertices[s.center] if o.is_outgoing(x))
@@ -495,7 +494,7 @@ def _phi_generic(s: SymmetricMap, d: int, family_error) -> MarkedMap:
     if not is_simple(out):
         raise ReconstructionFailed("folded sector is not simple")
     if marked_edge not in out.outer_edges():
-        o2 = minimize(find_d_orientation(out, d))
+        o2 = minimal_d_orientation(out, d)
         leftmost_path(o2, o2.along[marked_edge])  # must be simple, end outside
     return result
 
@@ -523,7 +522,7 @@ def _phi_inverse_generic(m: PlaneMap, e: int, d: int) -> SymmetricMap:
         d0 = next(x for x in m.faces[m.outer_face] if x >> 1 == e)
         p = 1
     else:
-        o = minimize(find_d_orientation(m, d))
+        o = minimal_d_orientation(m, d)
         s0 = o.along[e]
         lpath = leftmost_path(o, s0)
         p = len(lpath) + 1

@@ -9,26 +9,20 @@ from __future__ import annotations
 import math
 import os
 import time
-from fractions import Fraction
 from typing import Callable, Iterable
 
 from mapquot import census
 from mapquot import series as S
-from mapquot.maps import (
-    PlaneMap,
-    PointedMap,
-    is_quasi_simple,
-    is_simple,
-    unrooted_code,
-)
+from mapquot.maps import is_simple, unrooted_code
 from mapquot.orientations import (
-    OrientationInfeasible,
+    PathSelfIntersects,
     check_symmetric_minimal,
     directed_simple_cycles,
     find_d_orientation,
     has_d_orientation,
     is_minimal,
     leftmost_path,
+    minimal_d_orientation,
     minimize,
 )
 from mapquot.quotient import (
@@ -131,16 +125,16 @@ def check_census_series(small: bool = False) -> tuple[bool, str]:
         ("simply rooted sphere triangulations", lambda n: census.simply_rooted_sphere_tris(2 * n),
          "f_tri", S.named("f_tri", 4), range(1, 4)),
     ]
-    ok = True
+    checks = []
     counts = {}
     for family, members, name, coeffs, indices in families:
         for n in indices:
             c = len(members(n))
             if not c:
                 return False, f"no {family} for {name}[{n}]"
-            ok &= c == coeffs[n]
+            checks.append((f"{name}[{n}] = census", c == coeffs[n]))
             counts.setdefault(name, []).append(c)
-    return ok, f"q counts {counts['q']}, t and sphere families match"
+    return _named_result(checks, f"q counts {counts['q']}, t and sphere families match")
 
 
 def check_bijections(small: bool = False) -> tuple[bool, str]:
@@ -228,67 +222,81 @@ def check_quotient_lemmas(small: bool = False) -> tuple[bool, str]:
 
 
 def check_orientations(small: bool = False) -> tuple[bool, str]:
-    """d-orientation suite over every quadrangulation/triangulation under cap."""
-    ok = True
+    """d-orientation suite over every quadrangulation/triangulation under cap,
+    walking each family once; failures are named by statement and family."""
+    checks: dict[str, bool] = {}
+
+    def note(name: str, ok: bool) -> None:
+        checks[name] = checks.get(name, True) and ok
+
     paths = 0
     fams = [(4, 2, range(2, 6 if small else 8)), (3, 3, range(2, 7 if small else 11, 2))]
     for deg, d, sizes in fams:
+        rooted = census.rooted_quadrangulations if deg == 4 else census.rooted_triangulations
         for n in sizes:
-            fam = (
-                census.rooted_quadrangulations(n, simple=False)
-                if deg == 4
-                else census.rooted_triangulations(n, simple=False)
-            )
-            feasible = [m for m in fam if has_d_orientation(m, d)]
-            ok &= feasible == [m for m in fam if is_simple(m)]
-            if not feasible:
-                return False, f"no {d}-orientable maps among {len(fam)} of degree {deg}, size {n}"
-            for m in feasible:
+            where = f"degree {deg}, size {n}"
+            fam = rooted(n, simple=False)
+            feasible = 0
+            for m in fam:
+                orientable = has_d_orientation(m, d)
+                note(f"{d}-orientable == simple, {where}", orientable == is_simple(m))
+                if not orientable:
+                    continue
+                feasible += 1
                 o = find_d_orientation(m, d)
                 mo = minimize(o)
-                ok &= is_minimal(mo)
-                ok &= len(m.inner_edges()) == d * len(m.inner_vertices())
+                note(f"minimal, {where}", is_minimal(mo))
+                note(f"{d} inner edges per inner vertex, {where}",
+                     len(m.inner_edges()) == d * len(m.inner_vertices()))
                 cycles = directed_simple_cycles(o)
                 if cycles:
-                    o2 = o.reversed_cycle(cycles[0])
-                    ok &= minimize(o2).along == mo.along
-                for e, dart in enumerate(mo.along):
+                    note(f"minimal after a cycle reversal, {where}",
+                         minimize(o.reversed_cycle(cycles[0])).along == mo.along)
+                for dart in mo.along:
                     if dart is None:
                         continue
-                    leftmost_path(mo, dart)  # raises unless simple + ends outside
-                    paths += 1
+                    try:
+                        leftmost_path(mo, dart)  # simple, and ends at an outer vertex
+                        paths += 1
+                    except PathSelfIntersects:
+                        note(f"leftmost paths, {where}", False)
+            if not feasible:
+                return False, f"no {d}-orientable maps among {len(fam)} of degree {deg}, size {n}"
     # minimal orientations of symmetric members are rotation invariant
-    for n in (1, 2) if small else (1, 2, 3):
-        for sym in census.symmetric_simple_quadrangulations(n):
-            mo = minimize(find_d_orientation(sym.plane_map, 2))
-            ok &= check_symmetric_minimal(sym, mo)
-    for sym in census.symmetric_simple_triangulations(1):
-        mo = minimize(find_d_orientation(sym.plane_map, 3))
-        ok &= check_symmetric_minimal(sym, mo)
-    return ok, f"{paths} leftmost paths traced"
+    symmetric = [(2, 2, n, census.symmetric_simple_quadrangulations(n))
+                 for n in ((1, 2) if small else (1, 2, 3))]
+    symmetric.append((3, 3, 1, census.symmetric_simple_triangulations(1)))
+    for k, d, n, members in symmetric:
+        for sym in members:
+            note(f"symmetric minimal, k={k}, size {n}",
+                 check_symmetric_minimal(sym, minimal_d_orientation(sym.plane_map, d)))
+    return _named_result(checks.items(), f"{paths} leftmost paths traced")
 
 
 def check_two_point_census(small: bool = False) -> tuple[bool, str]:
     """Distance-refined series coefficients equal census counts."""
-    ok = True
+    checks = []
     nmax = 3 if small else 4
     F = {i: S.two_point("quad", i, nmax) for i in (1, 2, 3)}
     for n in range(1, nmax + 1):
         table = census.two_point_quad_table(n)
         if not table:
             return False, f"empty two-point quadrangulation table at size {n}"
-        ok &= all(F[i][n] == table.get(i, 0) for i in F)
+        checks += [(f"two_point[quad, i={i}][{n}] = census", F[i][n] == table.get(i, 0))
+                   for i in F]
     imax = 2
     ntri = 3 if small else 4
     for i in range(1, imax + 1):
         F = S.two_point("tri", i, ntri)
-        for n in range(0, ntri + 1):
-            ok &= F[n] == census.count_pointed_dissections(3, 2 * n + 1, distance=i)
+        checks += [(f"two_point[tri, i={i}][{n}] = census",
+                    F[n] == census.count_pointed_dissections(3, 2 * n + 1, distance=i))
+                   for n in range(0, ntri + 1)]
     for i in (1, 2):
         G = S.two_point("quad_simple", i, 3)
-        for n in range(1, 4):
-            ok &= G[n] == census.count_symmetric(4, 4, 2, 2 * n, simple=True, distance=i)
-    return ok, f"two-point tables to size {nmax} (quad), {2*ntri+1} inner (tri)"
+        checks += [(f"two_point[quad_simple, i={i}][{n}] = census",
+                    G[n] == census.count_symmetric(4, 4, 2, 2 * n, simple=True, distance=i))
+                   for n in range(1, 4)]
+    return _named_result(checks, f"two-point tables to size {nmax} (quad), {2*ntri+1} inner (tri)")
 
 
 def check_residuals_substitutions(small: bool = False) -> tuple[bool, str]:

@@ -36,7 +36,7 @@ def find_rotation_automorphisms(
     for r in m.faces[m.outer_face]:
         if r == m.root_dart:
             continue
-        rho = automorphism_from(m, r)
+        rho = automorphism_from(m.sigma, m.root_dart, r)
         if rho is None:
             continue
         fv = fixed_vertex(m, rho)

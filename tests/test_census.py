@@ -42,6 +42,19 @@ class TestRootedCounts:
     def test_simply_rooted_triangulations(self, n, count):
         assert len(census.simply_rooted_sphere_tris(n)) == count
 
+    @pytest.mark.parametrize("n", sorted(F_TRI))
+    def test_simply_rooted_filter_matches_loop_test(self, n):
+        expect = [m for m in census.rooted_sphere_tris(n) if not m.is_loop_edge(0)]
+        assert expect and list(census.simply_rooted_sphere_tris(n)) == expect
+
+    def test_families_are_cached_as_byte_sigmas(self):
+        fam = census.rooted_family(4, 4, 3)
+        assert census.rooted_family(4, 4, 3) is fam
+        assert len(fam) == F_QUAD[4]
+        assert all(type(s) is bytes for s in fam.sigmas)
+        assert [m.sigma for m in fam] == [tuple(s) for s in fam.sigmas]
+        assert fam[5] == PlaneMap(fam.sigmas[5], 0)
+
     def test_one_inner_face_quadrangulation_is_unique(self):
         fam = census.rooted_quadrangulations(2, simple=True)
         assert len(fam) == 1

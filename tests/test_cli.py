@@ -109,6 +109,10 @@ ENUMERATE_USAGE_ERRORS = {
     "negative size pointed": [*QUAD, "--outer-degree", "2", "--size", "-1", "--pointed"],
     "negative size symmetric": [*QUAD, "--outer-degree", "4", "--size", "-1", "--symmetric", "2"],
     "distance unpointed": [*QUAD, "--outer-degree", "4", "--size", "3", "--distance", "1"],
+    "distance 0 symmetric": [
+        *QUAD, "--outer-degree", "4", "--size", "1", "--symmetric", "2", "--distance", "0"],
+    "negative distance pointed": [
+        *QUAD, "--outer-degree", "2", "--size", "1", "--pointed", "--distance", "-1"],
     "quasi-simple unpointed": [*QUAD, "--outer-degree", "4", "--size", "3", "--quasi-simple"],
     "quasi-simple symmetric": [
         *QUAD, "--outer-degree", "4", "--size", "1", "--symmetric", "2", "--quasi-simple"],

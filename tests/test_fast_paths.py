@@ -1,11 +1,12 @@
 """The census fast paths against the brute-force versions they replace.
 
-Symmetric detection filters rooted maps by one automorphism test before it
-computes any canonical code, rotations are found from one image of the root,
-and unrooted codes root each map once for all of its marks.  The oracles are
-the direct definitions: unrooted classes over the whole family, the rotation
-search over every outer dart (rotation_oracle), and the least marked code
-over every root.
+Census maps are built unchecked from their kernel sigmas, symmetric
+detection filters rooted sigmas by one automorphism test before it builds a
+map or computes any canonical code, rotations are found from one image of
+the root, and unrooted codes root each map once for all of its marks.  The
+oracles are the direct definitions: the validating PlaneMap constructor,
+unrooted classes over the whole family, the rotation search over every outer
+dart (rotation_oracle), and the least marked code over every root.
 """
 
 import random
@@ -14,6 +15,7 @@ import pytest
 
 from mapquot import census
 from mapquot.maps import (
+    PlaneMap,
     PointedMap,
     SymmetricMap,
     canonical_code,
@@ -110,7 +112,7 @@ def test_rotation_matches_every_outer_dart_search(outer, inner, n_inner):
             rots = find_rotation_automorphisms(m, c)
             for k in range(2, outer + 2):
                 expect = min((rho for kk, rho in rots if kk == k), default=None)
-                assert rotation(m, k, c) == expect, (m.sigma, k, c)
+                assert rotation(m.sigma, m.root_dart, k, c) == expect, (m.sigma, k, c)
                 found += expect is not None
     if (outer, n_inner) == (8, 0):
         assert found == 0  # a tree has no inner vertex to turn about
@@ -119,15 +121,63 @@ def test_rotation_matches_every_outer_dart_search(outer, inner, n_inner):
 
 
 def test_rotation_skips_powers_of_smaller_order():
-    (wheel,) = [m for m in census.rooted_family(4, 3, 4) if rotation(m, 4)]
+    (wheel,) = [m for m in census.rooted_family(4, 3, 4) if rotation(m.sigma, 0, 4)]
     rng = random.Random(1)
     square_smaller = 0  # relabellings where the order-2 square is the least power
     for _ in range(20):
         m = shuffled(wheel, rng)
-        rho = rotation(m, 4)
+        rho = rotation(m.sigma, m.root_dart, 4)
         assert rho == least_rotation(m, 4)
         square_smaller += tuple(rho[x] for x in rho) < rho
     assert square_smaller
+
+
+def test_symmetric_members_builds_only_rotating_maps(monkeypatch):
+    sigmas = census.rooted_family(6, 4, 6, outer_simple=True).sigmas
+    rotating = sum(rotation(s, 0, 3) is not None for s in sigmas)
+    built = []
+    fill = PlaneMap._fill
+    monkeypatch.setattr(PlaneMap, "_fill", lambda m, *a: built.append(m) or fill(m, *a))
+    members = census.symmetric_members(4, 6, 3, 6)
+    assert members
+    assert len(sigmas) > 100_000 and 0 < len(built) <= rotating < 100
+
+
+# The families that `mapquot verify --suite all` reads, with their sizes:
+# (outer degree, inner degree, inner faces, simple, outer simple): maps.
+VERIFY_FAMILIES = {
+    (4, 4, 0, False, False): 2, (4, 4, 1, False, False): 9, (4, 4, 2, False, False): 54,
+    (4, 4, 3, False, False): 378, (4, 4, 4, False, False): 2916,
+    (4, 4, 5, False, False): 24057, (3, 3, 1, False, False): 4,
+    (3, 3, 3, False, False): 32, (3, 3, 5, False, False): 336,
+    (4, 4, 1, True, True): 1, (4, 4, 2, True, True): 2, (4, 4, 3, True, True): 6,
+    (4, 4, 4, True, True): 22, (4, 4, 5, True, True): 91, (4, 4, 6, True, True): 408,
+    (4, 4, 8, True, True): 9614, (3, 3, 1, True, True): 1, (3, 3, 3, True, True): 1,
+    (3, 3, 5, True, True): 3, (3, 3, 6, True, True): 0, (3, 3, 7, True, True): 13,
+    (3, 3, 9, True, True): 68,
+    (4, 4, 1, False, True): 1, (4, 4, 2, False, True): 10, (4, 4, 3, False, True): 90,
+    (4, 4, 4, False, True): 810, (4, 4, 5, False, True): 7425,
+    (4, 4, 6, False, True): 69498, (3, 3, 1, False, True): 1, (3, 3, 3, False, True): 10,
+    (3, 3, 5, False, True): 120, (3, 3, 7, False, True): 1600,
+    (3, 3, 9, False, True): 22880, (6, 4, 3, False, True): 56,
+    (6, 4, 6, False, True): 103194, (6, 3, 6, False, True): 462,
+    (2, 4, 1, False, True): 2, (2, 4, 2, False, True): 9, (2, 4, 3, False, True): 54,
+    (1, 3, 1, False, False): 1, (1, 3, 3, False, False): 4, (1, 3, 5, False, False): 32,
+    (1, 3, 7, False, False): 336, (1, 3, 9, False, False): 4096,
+}
+
+
+def test_trusted_maps_equal_validated_maps():
+    seen = 0
+    for family, size in VERIFY_FAMILIES.items():
+        fam = census.rooted_family(*family)
+        assert len(fam) == size, family
+        for sigma, m in zip(fam.sigmas, fam):
+            checked = PlaneMap(sigma, 0)
+            for field in PlaneMap.__slots__:
+                assert getattr(m, field) == getattr(checked, field), (family, sigma, field)
+            seen += 1
+    assert seen == sum(VERIFY_FAMILIES.values()) > 0
 
 
 def test_size_cap_still_fires():

@@ -209,8 +209,9 @@ class TestCanonicalCode:
 
 class TestRotationAutomorphisms:
     def test_square_has_none(self):
-        assert find_rotation_automorphisms(square_map()) == []
-        assert all(rotation(square_map(), k) is None for k in range(2, 6))
+        m = square_map()
+        assert find_rotation_automorphisms(m) == []
+        assert all(rotation(m.sigma, m.root_dart, k) is None for k in range(2, 6))
 
     def test_hexagon_wheel_order_three(self):
         m = hexagon_wheel()
@@ -218,26 +219,28 @@ class TestRotationAutomorphisms:
         assert [k for k, _ in got] == [3, 3]
         center = m.inner_vertices()[0]
         assert find_rotation_automorphisms(m, center=center) == got
-        assert rotation(m, 3) == rotation(m, 3, center) == min(rho for _, rho in got)
-        assert rotation(m, 3, min(m.outer_vertices())) is None
-        assert rotation(m, 2) is rotation(m, 6) is None
+        sigma, root = m.sigma, m.root_dart
+        assert rotation(sigma, root, 3) == rotation(sigma, root, 3, center) == min(rho for _, rho in got)
+        assert rotation(sigma, root, 3, min(m.outer_vertices())) is None
+        assert rotation(sigma, root, 2) is rotation(sigma, root, 6) is None
 
     def test_cube_rotations_fix_no_vertex(self):
-        assert find_rotation_automorphisms(cube()) == []
-        assert rotation(cube(), 2) is rotation(cube(), 4) is None
+        m = cube()
+        assert find_rotation_automorphisms(m) == []
+        assert rotation(m.sigma, m.root_dart, 2) is rotation(m.sigma, m.root_dart, 4) is None
 
 
 class TestSymmetricMap:
     def test_hexagon_wheel_is_symmetric(self):
         m = hexagon_wheel()
         center = m.inner_vertices()[0]
-        s = SymmetricMap(PointedMap(m, center), 3, rotation(m, 3, center))
+        s = SymmetricMap(PointedMap(m, center), 3, rotation(m.sigma, m.root_dart, 3, center))
         assert s.center == center
 
     def test_corrupted_rho_rejected(self):
         m = hexagon_wheel()
         center = m.inner_vertices()[0]
-        bad = list(rotation(m, 3, center))
+        bad = list(rotation(m.sigma, m.root_dart, 3, center))
         bad[0], bad[2] = bad[2], bad[0]
         with pytest.raises(MapError):
             SymmetricMap(PointedMap(m, center), 3, tuple(bad))

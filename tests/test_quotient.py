@@ -37,7 +37,7 @@ def symmetric_code(s):
 def hexagon_wheel_symmetric():
     m = hexagon_wheel()
     center = m.inner_vertices()[0]
-    return SymmetricMap(PointedMap(m, center), 3, rotation(m, 3, center))
+    return SymmetricMap(PointedMap(m, center), 3, rotation(m.sigma, m.root_dart, 3, center))
 
 
 class TestClassicalQuotient:

@@ -160,3 +160,40 @@ def test_bijections_name_the_broken_round_trip(monkeypatch):
     ok, detail = verify.check_bijections(small=True)
     assert not ok
     assert detail == "failed: round trip phi_tri, size 3"
+
+
+def test_orientations_name_the_broken_statement_and_family(monkeypatch):
+    real = verify.is_minimal
+    monkeypatch.setattr(verify, "is_minimal", lambda o: real(o) and o.base.n_faces != 6)
+    ok, detail = verify.check_orientations(small=True)
+    assert not ok
+    assert detail == "failed: minimal, degree 3, size 6"
+
+
+def test_orientations_name_the_broken_symmetric_member(monkeypatch):
+    monkeypatch.setattr(verify, "check_symmetric_minimal", lambda sym, o: sym.order_k != 3)
+    ok, detail = verify.check_orientations(small=True)
+    assert not ok
+    assert detail == "failed: symmetric minimal, k=3, size 1"
+
+
+def test_census_series_names_the_broken_coefficient(monkeypatch):
+    real = census.rooted_quadrangulations
+    monkeypatch.setattr(census, "rooted_quadrangulations",
+                        lambda n, **kw: list(real(n, **kw))[1:] if n == 5 else real(n, **kw))
+    ok, detail = verify.check_census_series(small=True)
+    assert not ok
+    assert detail == "failed: q[5] = census"
+
+
+def test_two_point_census_names_the_broken_coefficient(monkeypatch):
+    real = census.two_point_quad_table
+
+    def table(n):
+        t = real(n)
+        return {**t, 2: t[2] + 1} if n == 3 else t
+
+    monkeypatch.setattr(census, "two_point_quad_table", table)
+    ok, detail = verify.check_two_point_census(small=True)
+    assert not ok
+    assert detail == "failed: two_point[quad, i=2][3] = census"
