@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional
 
-from mapquot.kernel import run_census
+from mapquot.kernel import kernel_form, run_census
 from mapquot.maps import (
     DissectionSpec,
     MapError,
@@ -52,6 +52,8 @@ MAX_EDGES = 24
 
 
 def _guard_edges(outer_deg: int, inner_deg: int, n_inner: int) -> None:
+    if n_inner < 0:
+        raise MapError(f"a family needs at least 0 inner faces, got {n_inner}")
     darts = outer_deg + inner_deg * n_inner
     if darts % 2 == 0 and darts // 2 > MAX_EDGES:
         raise SizeCapExceeded(
@@ -96,8 +98,6 @@ def rooted_family(
     outer_simple: bool = False,
 ) -> _Family:
     """All rooted maps with the given face-degree profile, one per class."""
-    if n_inner < 0:
-        raise MapError(f"a family needs at least 0 inner faces, got {n_inner}")
     _guard_edges(outer_deg, inner_deg, n_inner)
     sigmas = run_census(
         outer_deg, inner_deg, n_inner, require_simple=simple, require_outer_simple=outer_simple
@@ -258,21 +258,24 @@ def symmetric_members(
     distance: Optional[int] = None,
     force: bool = False,
 ) -> list[SymmetricMap]:
-    """k-symmetric dissections found by full-size generation plus rotation
-    detection (independent of the quotient machinery).
+    """k-symmetric dissections, generated directly by the kernel's search
+    over rotation orbits of polygon sides (independent of the quotient
+    machinery).
 
-    Each rooted sigma is tested with one maps.rotation call before any map is
-    built; the maps with an order-k rotation about an inner vertex, in family
-    order, are reduced to unrooted classes, each kept with its least such
-    rotation.
+    The rooted maps the search yields are put into census order by
+    kernel_form, so they are the rooted family's members with an order-k
+    rotation, in family order.  Each is kept with its least such rotation and
+    the maps are reduced to unrooted classes.
     """
     _guard(n_inner, "symmetric_inner", force)
-    fam = rooted_family(
-        outer_deg, inner_deg, n_inner, simple=simple, outer_simple=True
-    )
-    rotations = {
-        fam[i]: rho for i, s in enumerate(fam.sigmas) if (rho := rotation(s, 0, k)) is not None
-    }
+    _guard_edges(outer_deg, inner_deg, n_inner)
+    found = run_census(outer_deg, inner_deg, n_inner, simple, True, k) if k > 1 else []
+    rotations = {}
+    for _, sigma in sorted(kernel_form(s, outer_deg, inner_deg) for s in found):
+        rho = rotation(sigma, 0, k)
+        if rho is None:
+            raise MapError(f"the orbit search yielded a map without an order-{k} rotation")
+        rotations[PlaneMap._trusted(sigma)] = rho
     out = []
     for m in unrooted_classes(rotations):
         rho = rotations[m]
@@ -361,6 +364,8 @@ def generate(q: CensusQuery) -> Iterator[PlaneMap]:
         raise MapError("quasi-simplicity applies to pointed families only")
     if s.pointed and (s.simple or s.symmetry_k):
         raise MapError("pointed families are neither simple nor symmetric")
+    if s.irreducible and (s.pointed or s.symmetry_k):
+        raise MapError("irreducibility applies to plain families only")
     if s.pointed and s.outer_degree != s.inner_face_degree - 2:
         raise MapError("pointed families have outer degree 2 (quadrangular) or 1 (triangular)")
     if s.symmetry_k:

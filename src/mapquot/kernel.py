@@ -20,13 +20,62 @@ between, and merges corners only into, the classes of d and b, so a new loop,
 multiple edge or pair of identified outer corners lies in label[d] or
 label[b].  The root state has no edges and distinct outer corners, and the
 search descends only from states that pass, so family_ok checks those two.
+
+With a rotation order k > 1 the search runs over orbits of sides under a
+rotation rho, and yields exactly the maps that rho turns.  rho shifts the
+outer sides by outer_deg/k; inner polygons come in orbits of k copies,
+polygon 1 + o*k + j being copy j of orbit o, and rho takes side i of copy j
+to side i of copy j+1 mod k.  Every gluing d-b forces rho^j d - rho^j b for
+j = 1..k-1, and a fresh polygon opens a whole orbit.  A branch dies when b
+lies in d's own orbit (an edge midpoint would be fixed) or when a forced side
+has left its partner's boundary cycle (the gluing would add a handle).  The
+glued sides stay a union of orbits, so the smallest unglued side is read the
+same way, and each rooted map that rho turns is reached exactly once.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
 # perfbench/run.py records this flag, and perfbench/compare.py refuses to
 # compare runs where it differs.
 COMPILED = False
+
+
+def _polygons(outer_deg: int, inner_deg: int, n_inner: int) -> tuple[list[int], list[int]]:
+    """Side offsets of the polygons (outer first) and the next side around each."""
+    offsets = [0] + [outer_deg + b * inner_deg for b in range(n_inner + 1)]
+    phi_next = [0] * offsets[-1]
+    for b in range(1 + n_inner):
+        start, deg = offsets[b], (outer_deg if b == 0 else inner_deg)
+        for i in range(deg):
+            phi_next[start + i] = start + (i + 1) % deg
+    return offsets, phi_next
+
+
+def _boundary(d: int, phi_next: list[int], partner: list[int]) -> list[int]:
+    """The other unglued sides on the boundary cycle through side d, in order."""
+    cycle = []
+    t = d
+    while True:
+        t = phi_next[t]
+        while partner[t] >= 0:
+            t = phi_next[partner[t]]
+        if t == d:
+            return cycle
+        cycle.append(t)
+
+
+def _emit(edges: list[int], phi_next: list[int], partner: list[int]) -> list[int]:
+    """The sigma array of a finished gluing, edge j being the j-th glued pair."""
+    total = len(phi_next)
+    new = [0] * total
+    for j, t in enumerate(edges):
+        new[t] = j
+    sigma = [0] * total
+    for t in range(total):
+        sigma[new[t]] = new[phi_next[partner[t]]]
+    return sigma
 
 
 def run_census(
@@ -35,23 +84,26 @@ def run_census(
     n_inner: int,
     require_simple: bool = False,
     require_outer_simple: bool = False,
+    k: int = 1,
 ) -> list[list[int]]:
-    """All rooted maps of the family, as sigma arrays (alpha = xor 1, root 0)."""
+    """All rooted maps of the family that the rotation of order k turns (every
+    map when k = 1), as sigma arrays (alpha = xor 1, root 0)."""
     n_blocks = 1 + n_inner
     total = outer_deg + n_inner * inner_deg
-    if total % 2 != 0:
+    if total % 2 != 0 or outer_deg % k or n_inner % k:
         return []
-
-    # polygon structure
-    offsets = [0] * (n_blocks + 1)
-    offsets[0] = 0
-    for b in range(1, n_blocks + 1):
-        offsets[b] = outer_deg + (b - 1) * inner_deg
-    phi_next = [0] * total
-    for b in range(n_blocks):
-        start, deg = offsets[b], (outer_deg if b == 0 else inner_deg)
-        for i in range(deg):
-            phi_next[start + i] = start + (i + 1) % deg
+    offsets, phi_next = _polygons(outer_deg, inner_deg, n_inner)
+    # images[s] = [rho s, rho^2 s, ..., rho^(k-1) s]
+    images: list[list[int]] = [[] for _ in range(total)]
+    for s in range(total):
+        t = s
+        for _ in range(k - 1):
+            if t < outer_deg:
+                t = (t + outer_deg // k) % outer_deg
+            else:
+                b, i = divmod(t - outer_deg, inner_deg)
+                t = outer_deg + (b - b % k + (b + 1) % k) * inner_deg + i
+            images[s].append(t)
 
     partner = [-1] * total
     label = list(range(total))  # vertex class of each corner
@@ -94,22 +146,6 @@ def run_census(
                     return False
         return True
 
-    def bnext(s: int) -> int:
-        t = phi_next[s]
-        while partner[t] >= 0:
-            t = phi_next[partner[t]]
-        return t
-
-    def emit() -> list[int]:
-        new = [0] * total
-        for j in range(0, len(edges), 2):
-            new[edges[j]] = j
-            new[edges[j + 1]] = j + 1
-        sigma = [0] * total
-        for t in range(total):
-            sigma[new[t]] = new[phi_next[partner[t]]]
-        return sigma
-
     def glue(d: int, b: int) -> None:
         partner[d] = b
         partner[b] = d
@@ -118,13 +154,23 @@ def run_census(
         union(d, phi_next[b])
         union(b, phi_next[d])
 
-    def unglue(d: int, b: int) -> None:
+    def unglue() -> None:
         undo_union()
         undo_union()
-        edges.pop()
-        edges.pop()
-        partner[d] = -1
-        partner[b] = -1
+        partner[edges.pop()] = -1
+        partner[edges.pop()] = -1
+
+    def glue_images(d: int, b: int, fresh: bool) -> bool:
+        """Glue rho^j d - rho^j b for j = 1..k-1 after d-b.  False at the first
+        that would add a handle or fails family_ok, with what was glued left
+        on the trail."""
+        for dj, bj in zip(images[d], images[b]):
+            if not fresh and bj not in _boundary(dj, phi_next, partner):
+                return False
+            glue(dj, bj)
+            if not family_ok(dj, bj):
+                return False
+        return True
 
     def rec(scan_from: int, opened: int) -> None:
         opened_end = offsets[opened]
@@ -133,27 +179,71 @@ def run_census(
             d += 1
         if d == opened_end:
             if opened == n_blocks:
-                results.append(emit())
+                results.append(_emit(edges, phi_next, partner))
             return
-        # candidates on the boundary cycle through d
-        cands = []
-        c = bnext(d)
-        while c != d:
-            cands.append(c)
-            c = bnext(c)
+        cands = _boundary(d, phi_next, partner)
         if opened == n_blocks and len(cands) % 2 == 0:
             return  # odd cycle cannot close without fresh faces
+        if k > 1:
+            own = images[d]
+            cands = [b for b in cands if b not in own]
+        depth = len(edges)
         for b in cands:
             glue(d, b)
-            if family_ok(d, b):
+            if family_ok(d, b) and (k == 1 or glue_images(d, b, False)):
                 rec(d + 1, opened)
-            unglue(d, b)
+            while len(edges) > depth:
+                unglue()
         if opened < n_blocks:
             b = opened_end
             glue(d, b)
-            if family_ok(d, b):
-                rec(d + 1, opened + 1)
-            unglue(d, b)
+            if family_ok(d, b) and (k == 1 or glue_images(d, b, True)):
+                rec(d + 1, opened + k)
+            while len(edges) > depth:
+                unglue()
 
     rec(0, 1)
     return results
+
+
+def kernel_form(
+    sigma: Sequence[int], outer_deg: int, inner_deg: int
+) -> tuple[tuple[int, ...], list[int]]:
+    """Replay the rooted map (sigma, root 0, outer face of degree outer_deg on
+    the left of dart 0) through the search with k = 1.
+
+    Returns the choice made at each gluing, the index of the partner among
+    the candidates or len(candidates) for a fresh polygon, and the sigma the
+    search emits for this map.  The search tries choices in increasing order,
+    so sorting maps of one family by this key puts them in census order.
+    """
+    total = len(sigma)
+    offsets, phi_next = _polygons(outer_deg, inner_deg, (total - outer_deg) // inner_deg)
+    dart = [0] * total  # the map dart on each side
+    side = [-1] * total  # the side of each map dart, once its polygon is open
+    partner = [-1] * total
+    edges: list[int] = []
+    choices = []
+
+    def place(x: int, start: int, deg: int) -> None:
+        for s in range(start, start + deg):
+            dart[s], side[x] = x, s
+            x = sigma[x ^ 1]  # phi
+
+    place(0, 0, outer_deg)
+    opened = 1
+    for d in range(total):
+        if partner[d] >= 0:
+            continue
+        cands = _boundary(d, phi_next, partner)
+        b = side[dart[d] ^ 1]
+        if b < 0:
+            b = offsets[opened]
+            place(dart[d] ^ 1, b, inner_deg)
+            opened += 1
+            choices.append(len(cands))
+        else:
+            choices.append(cands.index(b))
+        partner[d], partner[b] = b, d
+        edges += (d, b)
+    return tuple(choices), _emit(edges, phi_next, partner)

@@ -3,6 +3,7 @@ import pytest
 from mapquot import census
 from mapquot.maps import (
     DissectionSpec,
+    MapError,
     PlaneMap,
     PointedMap,
     canonical_code,
@@ -136,6 +137,17 @@ class TestSymmetric:
                 census.count_pointed_dissections(3, n, quasi_simple=True)
             )
 
+    def test_quotient_sizes_match_pointed_dissections(self):
+        # a k-symmetric dissection of the 2k-gon (of the k-gon, triangular) is
+        # the k-fold cover of a pointed 2-dissection (1-dissection)
+        for k in (2, 3):
+            for n in (1, 2, 3):
+                count = census.count_pointed_dissections(4, n)
+                assert count and census.count_symmetric(4, 2 * k, k, k * n) == count
+            for n in (0, 1):
+                count = census.count_pointed_dissections(3, 2 * n + 1)
+                assert count and census.count_symmetric(3, k, k, (2 * n + 1) * k) == count
+
     def test_witnesses_are_symmetric(self):
         for sym in census.symmetric_simple_quadrangulations(2):
             assert sym.order_k == 2
@@ -154,6 +166,14 @@ class TestQueries:
     def test_generate_pointed(self):
         spec = DissectionSpec(4, 2, pointed=True, quasi_simple=True)
         assert len(list(census.generate(census.CensusQuery(spec, 2)))) == 3
+
+    @pytest.mark.parametrize("spec", [
+        DissectionSpec(4, 4, simple=True, irreducible=True, symmetry_k=2),
+        DissectionSpec(4, 2, irreducible=True, pointed=True),
+    ])
+    def test_generate_rejects_irreducible_symmetric_and_pointed(self, spec):
+        with pytest.raises(MapError, match="irreducib"):
+            list(census.generate(census.CensusQuery(spec, 3)))
 
     def test_cap_enforced(self):
         with pytest.raises(census.SizeCapExceeded):

@@ -91,6 +91,18 @@ class TestEnumerateCommand:
         for line in lines[:-1]:
             jsonio.parse_map(json.loads(line))
 
+    def test_symmetric_query_of_81_members(self, capsys):
+        # building the whole rooted family took over 2 GB; the orbit search
+        # reaches only its 3-symmetric maps
+        code, out = run_cli(
+            capsys,
+            "enumerate",
+            "--inner-degree", "4", "--outer-degree", "6",
+            "--size", "3", "--symmetric", "3", "--count-only",
+        )
+        assert code == 0
+        assert json.loads(out) == {"count": 81, "size": 3}
+
     def test_cap_is_a_usage_error(self, capsys):
         code, _ = run_cli(
             capsys,

@@ -1,19 +1,20 @@
 """The census fast paths against the brute-force versions they replace.
 
-Census maps are built unchecked from their kernel sigmas, symmetric
-detection filters rooted sigmas by one automorphism test before it builds a
-map or computes any canonical code, rotations are found from one image of
-the root, and unrooted codes root each map once for all of its marks.  The
-oracles are the direct definitions: the validating PlaneMap constructor,
-unrooted classes over the whole family, the rotation search over every outer
-dart (rotation_oracle), and the least marked code over every root.
+Census maps are built unchecked from their kernel sigmas, symmetric members
+come from the kernel's search over rotation orbits of sides, rotations are
+found from one image of the root, and unrooted codes root each map once for
+all of its marks.  The oracles are the direct definitions: the validating
+PlaneMap constructor, the whole family filtered by rotation and reduced to
+unrooted classes, the rotation search over every outer dart
+(rotation_oracle), and the least marked code over every root.
 """
 
 import random
 
 import pytest
 
-from mapquot import census
+from mapquot import census, verify
+from mapquot.kernel import kernel_form, run_census
 from mapquot.maps import (
     PlaneMap,
     PointedMap,
@@ -138,9 +139,52 @@ def test_symmetric_members_builds_only_rotating_maps(monkeypatch):
     built = []
     fill = PlaneMap._fill
     monkeypatch.setattr(PlaneMap, "_fill", lambda m, *a: built.append(m) or fill(m, *a))
+
+    def no_family(*args, **kwargs):
+        raise AssertionError("symmetric_members read a rooted family")
+
+    def orbit_search(*args):
+        assert args[5] > 1, args  # never the whole (k = 1) census
+        return run_census(*args)
+
+    monkeypatch.setattr(census, "rooted_family", no_family)
+    monkeypatch.setattr(census, "run_census", orbit_search)
     members = census.symmetric_members(4, 6, 3, 6)
     assert members
     assert len(sigmas) > 100_000 and 0 < len(built) <= rotating < 100
+
+
+def orbit_sigmas(inner, outer, k, n_inner, simple):
+    """The orbit search's output, put into census order by kernel_form."""
+    found = run_census(outer, inner, n_inner, simple, True, k)
+    return [bytes(s) for _, s in sorted(kernel_form(s, outer, inner) for s in found)]
+
+
+def filtered_sigmas(inner, outer, k, n_inner, simple):
+    """The full census filtered by rotation: the oracle for orbit_sigmas."""
+    fam = census.rooted_family(outer, inner, n_inner, simple=simple, outer_simple=True)
+    return [s for s in fam.sigmas if rotation(s, 0, k)]
+
+
+# every size from 0 up to a top size, for k = 2, 3 and 4, on small profiles:
+# (inner degree, outer degree, simple, k, top), the top being the symmetric
+# cap wherever the full census stays small
+ORBIT_SWEEPS = [(3, 3, True, 3, 9), (3, 4, True, 2, 9), (3, 4, True, 4, 9), (3, 6, True, 2, 9),
+                (3, 6, True, 3, 9), (3, 3, False, 3, 9), (4, 4, False, 2, 6), (4, 8, False, 4, 5)]
+
+
+def test_orbit_search_equals_filtered_census():
+    suite = [family for family, _ in verify._symmetric_suite(small=False)]
+    cases = suite + SYMMETRIC_CASES + [(3, 3, 3, 15, True)]
+    for inner, outer, simple, k, top in ORBIT_SWEEPS:
+        cases += [(inner, outer, k, n, simple) for n in range(top + 1)]
+    seen = nonempty = 0
+    for inner, outer, k, n_inner, simple in cases:
+        expect = filtered_sigmas(inner, outer, k, n_inner, simple)
+        assert orbit_sigmas(inner, outer, k, n_inner, simple) == expect, (inner, outer, k, n_inner)
+        seen += len(expect)
+        nonempty += bool(expect)
+    assert (nonempty, seen) == (34, 493)
 
 
 # The families that `mapquot verify --suite all` reads, with their sizes:

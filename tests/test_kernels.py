@@ -54,6 +54,56 @@ def test_pure_kernel_matches_whole_state_oracle():
     assert (maps, nonempty) == (71647, 26)
 
 
+KERNEL_FORM_PROFILES = [
+    (4, 4, 4), (3, 3, 5), (2, 4, 3), (1, 3, 5), (8, 4, 2), (4, 4, 6, True, True), (6, 4, 3, False, True),
+]
+
+
+@pytest.mark.parametrize("profile", KERNEL_FORM_PROFILES)
+def test_kernel_form_replays_the_search(profile):
+    sigmas = kernel.run_census(*profile)
+    assert sigmas
+    keys = []
+    for s in sigmas:
+        key, form = kernel.kernel_form(bytes(s), profile[0], profile[1])
+        assert form == s
+        keys.append(key)
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
+def search_nodes(*args):
+    """(calls of the search's `rec`, maps emitted) for one run_census."""
+    nodes = 0
+
+    def count(frame, event, arg):
+        nonlocal nodes
+        code = frame.f_code
+        if event == "call" and code.co_name == "rec" and code.co_filename == kernel.__file__:
+            nodes += 1
+
+    sys.setprofile(count)
+    try:
+        maps = kernel.run_census(*args)
+    finally:
+        sys.setprofile(None)
+    return nodes, len(maps)
+
+
+# (outer degree, inner degree, inner faces, simple, outer simple, k): (nodes, maps).
+# Weaker pruning gives the same maps from more nodes, so the nodes are pinned.
+SEARCH_NODES = {
+    (3, 3, 11, True, True, 1): (4906, 399),
+    (4, 4, 6, True, True, 1): (11438, 408),
+    (6, 4, 6, False, True, 3): (63, 18),
+    (4, 4, 8, True, True, 2): (938, 110),
+}
+
+
+@pytest.mark.parametrize("case", SEARCH_NODES)
+def test_search_node_counts(case):
+    assert search_nodes(*case) == SEARCH_NODES[case]
+
+
 def test_odd_dart_count_yields_nothing():
     assert kernel.run_census(3, 3, 2) == []
 
