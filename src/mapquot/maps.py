@@ -137,9 +137,6 @@ class PlaneMap:
         """Next dart of the face on the left of d."""
         return self.sigma[d ^ 1]
 
-    def edge_of(self, d: int) -> int:
-        return d >> 1
-
     def edge_endpoints(self, edge: int) -> tuple[int, int]:
         return self.vertex_of[2 * edge], self.vertex_of[2 * edge + 1]
 
@@ -169,9 +166,6 @@ class PlaneMap:
     def inner_vertices(self) -> list[int]:
         outer = self.outer_vertices()
         return [v for v in range(self.n_vertices) if v not in outer]
-
-    def edge_faces(self, edge: int) -> tuple[int, int]:
-        return self.face_of[2 * edge], self.face_of[2 * edge + 1]
 
     def neighbors(self, vertex: int) -> list[int]:
         """Vertices adjacent to `vertex`, with multiplicity."""
@@ -613,55 +607,6 @@ def rotation(
 
 
 # -- construction helpers --------------------------------------------------
-
-
-def from_face_lists(faces: Sequence[Sequence[int]], outer: int = 0) -> PlaneMap:
-    """Build a map from its face contours (simple graphs only).
-
-    Each face is a vertex list read so that the face lies on the left of
-    every directed contour edge.  Every undirected edge must appear exactly
-    once in each direction.  The root is the first contour edge of `outer`.
-    """
-    darts = []  # (face index, position) -> directed edge (u, v)
-    for fi, f in enumerate(faces):
-        k = len(f)
-        for p in range(k):
-            darts.append((fi, p, f[p], f[(p + 1) % k]))
-    by_dir = {}
-    for idx, (_, _, u, v) in enumerate(darts):
-        if (u, v) in by_dir:
-            raise MapError(f"directed edge {(u, v)} listed twice")
-        by_dir[(u, v)] = idx
-    pair = {}
-    for (u, v), idx in by_dir.items():
-        if (v, u) not in by_dir:
-            raise MapError(f"edge {(u, v)} lacks its reverse")
-        pair[idx] = by_dir[(v, u)]
-
-    # relabel so alpha(d) = d ^ 1
-    new_id = {}
-    edges = 0
-    for idx in range(len(darts)):
-        if idx in new_id:
-            continue
-        new_id[idx] = 2 * edges
-        new_id[pair[idx]] = 2 * edges + 1
-        edges += 1
-
-    # phi within each face block, then sigma = phi o alpha
-    phi = {}
-    pos = 0
-    for fi, f in enumerate(faces):
-        k = len(f)
-        for p in range(k):
-            phi[pos + p] = pos + (p + 1) % k
-        pos += k
-    sigma = [0] * len(darts)
-    for idx in range(len(darts)):
-        sigma[new_id[pair[idx]]] = new_id[phi[idx]]
-
-    root_old = sum(len(f) for f in faces[:outer])
-    return PlaneMap(sigma, new_id[root_old])
 
 
 def relabel(m: PlaneMap, dart_perm: Sequence[int]) -> PlaneMap:

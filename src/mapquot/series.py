@@ -2,11 +2,11 @@
 catalogue of counting series for planar dissections.
 
 Each algebraic series is defined by the residual of its equation alone and
-solved from it by Newton iteration with doubling precision, which checks the
-residual of the result; the ODE-defined `q` and `t` are solved by contractive
-fixpoint iteration, and the rest by series arithmetic.  Counting series are
-verified to have non-negative integer coefficients before being exposed as
-counts.
+solved from it by one solver, Newton iteration with doubling precision, which
+checks the residual of the result.  `q` and `t` are the integrals of their
+derivatives, which are algebraic and solved the same way; the rest is built
+by series arithmetic.  Counting series are verified to have non-negative
+integer coefficients before being exposed as counts.
 """
 
 from __future__ import annotations
@@ -256,29 +256,16 @@ def _pad(s: TruncSeries, order: int) -> TruncSeries:
 
 
 def fixpoint_solve(
-    step: Callable[[TruncSeries], TruncSeries], order: int, name: str = ""
-) -> TruncSeries:
-    """Solve s = step(s) by contractive iteration (one new coefficient per
-    step), working at progressively growing truncation orders.  Raises
-    NonContractive when the final full-order pass still moves."""
-    s = TruncSeries.zero(0)
-    for m in range(order + 1):
-        s = step(_pad(s, m)).truncate(m)
-    if step(s).truncate(order) != s:
-        raise NonContractive(name or "fixpoint iteration did not stabilise")
-    return s
-
-
-def newton_solve(
     residual: Callable[[TruncSeries], TruncSeries], order: int, start, name: str = ""
 ) -> TruncSeries:
-    """Solve residual(s) = 0 from the constant term `start` by Newton
-    iteration, doubling the exact coefficients each step (Brent and Kung).
-    If s is exact mod x^p and m = min(2p, order + 1), then F(s + x^p) - F(s)
-    = F'(s) x^p mod x^m, so the residual, which must truncate to the order of
-    its argument, also gives the derivative.  A derivative that is not a unit
-    raises DivisorNotUnit at the first step (its constant term never changes);
-    a result that misses the equation raises NonContractive."""
+    """Solve residual(s) = 0 from the constant term `start` by Newton's
+    method, which finds a fixed point of s -> s - F(s)/F'(s) and doubles the
+    exact coefficients each step (Brent and Kung).  If s is exact mod x^p
+    and m = min(2p, order + 1), then F(s + x^p) - F(s) = F'(s) x^p mod x^m,
+    so the residual, which must truncate to the order of its argument, also
+    gives the derivative.  A derivative that is not a unit raises
+    DivisorNotUnit at the first step (its constant term never changes); a
+    result that misses the equation raises NonContractive."""
     s = TruncSeries.const(start, 0)
     p = 1
     while p <= order:
@@ -364,7 +351,7 @@ def algebraic(name: str, order: int) -> AlgebraicSeries:
     if builder is None:
         raise UnknownName(f"no algebraic series named {name!r}")
     start, residual = builder(order)
-    return AlgebraicSeries(name, newton_solve(residual, order, start, name), residual)
+    return AlgebraicSeries(name, fixpoint_solve(residual, order, start, name), residual)
 
 
 def _one(order: int) -> TruncSeries:
@@ -470,30 +457,19 @@ _ALGEBRAIC = {
 }
 
 
-def solve_q(order: int) -> TruncSeries:
-    """Rooted simple quadrangulations by total faces, from the quadratic
-    first-order equation x(2q'^2 + 3q' + 2) = q'(1 + q), solved as the
-    contraction q' = x(2 + 2q'^2 + 3q')/(1 + q)."""
+def _build_q(order):
+    """Rooted simple quadrangulations by total faces: q' = 2 a3 - 2 with
+    a3 = 1 + x a3^3, so q' is the root of 4q' = x(q' + 2)^3 with q'(0) = 0."""
     x = _x(order)
-
-    def step(r):
-        q = r.integrate()
-        return (x * (2 + 2 * r * r + 3 * r)).divide(1 + q)
-
-    r = fixpoint_solve(step, order, name="q")
+    r = fixpoint_solve(lambda r: 4 * r - x * (r + 2) ** 3, order, 0, "q")
     return r.integrate().truncate(order)
 
 
-def solve_t(order: int) -> TruncSeries:
-    """Rooted simple triangulations by half the face count, from
-    3x t'^2 + 1 = (t + 1) t', solved as t' = (3x t'^2 + 1)/(1 + t)."""
+def _build_t(order):
+    """Rooted simple triangulations by half the face count: t' = a4^2 with
+    a4 = 1 + x a4^4, so t' is the root of (x t'^2 + 1)^2 = t' with t'(0) = 1."""
     x = _x(order)
-
-    def step(r):
-        t = r.integrate()
-        return (3 * x * r * r + 1).divide(1 + t)
-
-    r = fixpoint_solve(step, order, name="t")
+    r = fixpoint_solve(lambda r: (x * r * r + 1) ** 2 - r, order, 1, "t")
     return r.integrate().truncate(order)
 
 
@@ -601,8 +577,8 @@ def d3_closed_form(order: int) -> TruncSeries:
 
 
 _BUILDERS: dict[str, Callable[[int], TruncSeries]] = {
-    "q": solve_q,
-    "t": solve_t,
+    "q": _build_q,
+    "t": _build_t,
     "f_quad": _build_f_quad,
     "g_quad": _build_g_quad,
     "f_tri": _build_f_tri,

@@ -85,7 +85,7 @@ class TestSolvers:
     def test_golden_t(self):
         assert ints(S.named("t", 8)) == GOLDEN_T
 
-    def test_fixpoint_P(self):
+    def test_P_quad(self):
         assert ints(S.named("P_quad", 3)) == [1, 3, 18, 135]
 
     def test_ternary_trees_are_fuss_catalan(self):
