@@ -61,6 +61,13 @@ def _guard_edges(outer_deg: int, inner_deg: int, n_inner: int) -> None:
         )
 
 
+def _inner_faces(n_faces: int, family: str) -> int:
+    """The inner faces of a family sized by its total faces."""
+    if n_faces < 1:
+        raise MapError(f"{family} have at least 1 face, got size {n_faces}")
+    return n_faces - 1
+
+
 def _guard(value: int, cap_key: str, force: bool) -> None:
     if not force and value > DEFAULT_CAPS[cap_key]:
         raise SizeCapExceeded(
@@ -70,9 +77,10 @@ def _guard(value: int, cap_key: str, force: bool) -> None:
 
 
 class _Family:
-    """A rooted family, read-only.  Each map is kept as its kernel sigma in
-    bytes, one byte per dart (_guard_edges keeps families within 48 darts),
-    rooted at dart 0, and built into a PlaneMap only when it is reached."""
+    """A rooted family, read-only.  Each map is kept as the bytes sigma the
+    kernel emits, one byte per dart (_guard_edges keeps families within 48
+    darts), rooted at dart 0, and built into a PlaneMap only when it is
+    reached."""
 
     __slots__ = ("sigmas",)
 
@@ -102,7 +110,7 @@ def rooted_family(
     sigmas = run_census(
         outer_deg, inner_deg, n_inner, require_simple=simple, require_outer_simple=outer_simple
     )
-    return _Family(tuple(map(bytes, sigmas)))
+    return _Family(tuple(sigmas))
 
 
 # -- plain rooted families -------------------------------------------------
@@ -111,25 +119,27 @@ def rooted_family(
 def rooted_quadrangulations(n_faces: int, simple: bool = True, force: bool = False):
     """Rooted quadrangulations (outer face a simple 4-cycle), n_faces total."""
     _guard(n_faces, "quad_faces", force)
-    return rooted_family(4, 4, n_faces - 1, simple=simple, outer_simple=True)
+    n_inner = _inner_faces(n_faces, "quadrangulations")
+    return rooted_family(4, 4, n_inner, simple=simple, outer_simple=True)
 
 
 def rooted_triangulations(n_faces: int, simple: bool = True, force: bool = False):
     """Rooted triangulations (outer face a simple 3-cycle), n_faces total."""
     _guard(n_faces, "tri_faces", force)
-    return rooted_family(3, 3, n_faces - 1, simple=simple, outer_simple=True)
+    n_inner = _inner_faces(n_faces, "triangulations")
+    return rooted_family(3, 3, n_inner, simple=simple, outer_simple=True)
 
 
 def rooted_sphere_quads(n_faces: int, force: bool = False):
     """Rooted sphere maps with n_faces quadrangular faces (marked-dart count)."""
     _guard(n_faces, "sphere_quad_faces", force)
-    return rooted_family(4, 4, n_faces - 1)
+    return rooted_family(4, 4, _inner_faces(n_faces, "sphere quadrangulations"))
 
 
 def rooted_sphere_tris(n_faces: int, force: bool = False):
     """Rooted sphere maps with n_faces triangular faces (marked-dart count)."""
     _guard(n_faces, "sphere_tri_faces", force)
-    return rooted_family(3, 3, n_faces - 1)
+    return rooted_family(3, 3, _inner_faces(n_faces, "sphere triangulations"))
 
 
 def simply_rooted_sphere_tris(n_faces: int, force: bool = False) -> _Family:
@@ -202,15 +212,14 @@ def two_point_quad_table(n: int, force: bool = False) -> dict[int, int]:
     return out
 
 
-def pointed_dissection_classes(
+def _pointed_classes(
     inner_deg: int,
     n_inner: int,
-    distance: Optional[int] = None,
-    quasi_simple: bool = False,
-    force: bool = False,
-) -> list[PointedMap]:
-    """Pointed quadrangular 2-dissections (inner_deg=4) or triangular
-    1-dissections (inner_deg=3), one per unrooted pointed class."""
+    distance: Optional[int],
+    quasi_simple: bool,
+    force: bool,
+) -> Iterator[PointedMap]:
+    """The first pointed map of each unrooted pointed class, in family order."""
     if inner_deg == 4:
         fam = rooted_quad_2_dissections(n_inner, force)
     elif inner_deg == 3:
@@ -218,7 +227,6 @@ def pointed_dissection_classes(
     else:
         raise MapError("inner degree must be 3 or 4")
     seen = set()
-    out = []
     for m in fam:
         rootings = minimal_rootings(m)
         for v in m.inner_vertices():
@@ -230,8 +238,19 @@ def pointed_dissection_classes(
             code = marked_code(m, rootings, pointed=v)
             if code not in seen:
                 seen.add(code)
-                out.append(p)
-    return out
+                yield p
+
+
+def pointed_dissection_classes(
+    inner_deg: int,
+    n_inner: int,
+    distance: Optional[int] = None,
+    quasi_simple: bool = False,
+    force: bool = False,
+) -> list[PointedMap]:
+    """Pointed quadrangular 2-dissections (inner_deg=4) or triangular
+    1-dissections (inner_deg=3), one per unrooted pointed class."""
+    return list(_pointed_classes(inner_deg, n_inner, distance, quasi_simple, force))
 
 
 def count_pointed_dissections(
@@ -241,9 +260,8 @@ def count_pointed_dissections(
     quasi_simple: bool = False,
     force: bool = False,
 ) -> int:
-    return len(
-        pointed_dissection_classes(inner_deg, n_inner, distance, quasi_simple, force)
-    )
+    """The number of pointed_dissection_classes, keeping no map past its count."""
+    return sum(1 for _ in _pointed_classes(inner_deg, n_inner, distance, quasi_simple, force))
 
 
 # -- symmetric families ------------------------------------------------------
@@ -387,13 +405,7 @@ def generate(q: CensusQuery) -> Iterator[PlaneMap]:
             yield sm.plane_map
         return
     if s.pointed:
-        for p in pointed_dissection_classes(
-            s.inner_face_degree,
-            q.size,
-            distance=q.distance,
-            quasi_simple=s.quasi_simple,
-            force=q.force,
-        ):
+        for p in _pointed_classes(s.inner_face_degree, q.size, q.distance, s.quasi_simple, q.force):
             yield p.base
         return
     if s.inner_face_degree == 4 and s.outer_degree == 4:

@@ -66,16 +66,17 @@ def _boundary(d: int, phi_next: list[int], partner: list[int]) -> list[int]:
         cycle.append(t)
 
 
-def _emit(edges: list[int], phi_next: list[int], partner: list[int]) -> list[int]:
-    """The sigma array of a finished gluing, edge j being the j-th glued pair."""
+def _emit(edges: list[int], phi_next: list[int], partner: list[int]) -> bytes:
+    """The sigma of a finished gluing, one byte per dart, edge j being the
+    j-th glued pair."""
     total = len(phi_next)
     new = [0] * total
     for j, t in enumerate(edges):
         new[t] = j
-    sigma = [0] * total
+    sigma = bytearray(total)
     for t in range(total):
         sigma[new[t]] = new[phi_next[partner[t]]]
-    return sigma
+    return bytes(sigma)
 
 
 def run_census(
@@ -85,9 +86,10 @@ def run_census(
     require_simple: bool = False,
     require_outer_simple: bool = False,
     k: int = 1,
-) -> list[list[int]]:
+) -> list[bytes]:
     """All rooted maps of the family that the rotation of order k turns (every
-    map when k = 1), as sigma arrays (alpha = xor 1, root 0)."""
+    map when k = 1), as sigmas of one byte per dart (alpha = xor 1, root 0),
+    so a family holds at most 256 darts."""
     n_blocks = 1 + n_inner
     total = outer_deg + n_inner * inner_deg
     if total % 2 != 0 or outer_deg % k or n_inner % k:
@@ -110,7 +112,7 @@ def run_census(
     members = [[t] for t in range(total)]  # corners of each class
     trail: list[tuple[int, int] | None] = []
     edges: list[int] = []  # flat pairs a0,b0,a1,b1,...
-    results: list[list[int]] = []
+    results: list[bytes] = []
 
     def union(x: int, y: int) -> None:
         rx, ry = label[x], label[y]
@@ -208,7 +210,7 @@ def run_census(
 
 def kernel_form(
     sigma: Sequence[int], outer_deg: int, inner_deg: int
-) -> tuple[tuple[int, ...], list[int]]:
+) -> tuple[tuple[int, ...], bytes]:
     """Replay the rooted map (sigma, root 0, outer face of degree outer_deg on
     the left of dart 0) through the search with k = 1.
 

@@ -16,6 +16,7 @@ from mapquot.maps import (
     MapError,
     PlaneMap,
     SymmetricMap,
+    _orbits,
     cycle_interior,
 )
 
@@ -133,12 +134,64 @@ def find_d_orientation(m: PlaneMap, d: int) -> Orientation:
     return o
 
 
-def has_d_orientation(m: PlaneMap, d: int) -> bool:
-    try:
-        find_d_orientation(m, d)
-        return True
-    except OrientationInfeasible:
-        return False
+def overloaded_vertices(sigma: Sequence[int]) -> Optional[tuple[frozenset[int], int]]:
+    """None when the map (sigma, root 0) has no loop and no multiple edge,
+    else (inside, touching) for its first loop or 2-cycle: the one closed by
+    the least edge that is a loop or parallel to a smaller edge.
+
+    inside is the set of vertices strictly inside the cycle, on the side that
+    holds no outer vertex, and touching the number of edges with an end in
+    inside.  A d-orientation gives each vertex of inside d outgoing edges,
+    all distinct and all touching inside, so touching < d * len(inside) (a
+    Hall violator) proves that the map has none.  Vertices are numbered as in
+    PlaneMap(sigma).  Only the rotation system is read, so a non-simple
+    census map is settled before any map is built.
+    """
+    vertices, vertex_of = _orbits(sigma)
+    first: dict[tuple[int, int], int] = {}  # endpoint pair -> its least edge
+    for x in range(0, len(sigma), 2):
+        u, v = vertex_of[x], vertex_of[x ^ 1]
+        if u == v:  # a loop: the two arcs of u between its darts
+            cycle = {u}
+            sides = (((x, x ^ 1),), ((x ^ 1, x),))
+            break
+        key = (u, v) if u < v else (v, u)
+        if key not in first:
+            first[key] = x >> 1
+            continue
+        # a 2-cycle through y and x at u: the arc from y to x at u and the
+        # arc from x ^ 1 to y ^ 1 at v bound the same side
+        y = 2 * first[key]
+        y = y if vertex_of[y] == u else y ^ 1
+        cycle = {u, v}
+        sides = (((y, x), (x ^ 1, y ^ 1)), ((x, y), (y ^ 1, x ^ 1)))
+        break
+    else:
+        return None
+    outer = set()
+    d = 0
+    while True:
+        outer.add(vertex_of[d])
+        d = sigma[d ^ 1]
+        if d == 0:
+            break
+    for arcs in sides:  # the outer face, with its off-cycle vertices, is on one side
+        inside: set[int] = set()
+        stack = []
+        for start, stop in arcs:
+            d = sigma[start]
+            while d != stop:
+                stack.append(d)
+                d = sigma[d]
+        while stack:
+            w = vertex_of[stack.pop() ^ 1]
+            if w not in cycle and w not in inside:
+                inside.add(w)
+                stack.extend(vertices[w])
+        if not inside & outer:
+            break
+    touching = {d >> 1 for w in inside for d in vertices[w]}
+    return frozenset(inside), len(touching)
 
 
 def directed_simple_cycles(o: Orientation) -> list[tuple[int, ...]]:

@@ -145,6 +145,14 @@ def test_enumerate_rejects_what_it_cannot_honour(capsys, argv):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("family", ["quadrangulations", "triangulations"])
+def test_size_0_error_names_the_size_given(capsys, family):
+    # these families are sized by total faces, so the error speaks of the size
+    code = main(["enumerate", *ENUMERATE_USAGE_ERRORS[f"size 0 {family}"], "--count-only"])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {family} have at least 1 face, got size 0\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["series", "--name", "P_quad", "--order", "-2"],
     ["series", "--name", "q", "--order", "-1"],

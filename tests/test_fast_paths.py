@@ -2,11 +2,12 @@
 
 Census maps are built unchecked from their kernel sigmas, symmetric members
 come from the kernel's search over rotation orbits of sides, rotations are
-found from one image of the root, and unrooted codes root each map once for
-all of its marks.  The oracles are the direct definitions: the validating
-PlaneMap constructor, the whole family filtered by rotation and reduced to
-unrooted classes, the rotation search over every outer dart
-(rotation_oracle), and the least marked code over every root.
+found from one image of the root, unrooted codes root each map once for all
+of its marks, and the orientation check builds only the maps it orients.
+The oracles are the direct definitions: the validating PlaneMap constructor,
+the whole family filtered by rotation and reduced to unrooted classes, the
+rotation search over every outer dart (rotation_oracle), and the least
+marked code over every root.
 """
 
 import random
@@ -21,6 +22,7 @@ from mapquot.maps import (
     SymmetricMap,
     canonical_code,
     fixed_vertex,
+    is_simple,
     marked_code,
     minimal_rootings,
     radial_distance,
@@ -152,6 +154,25 @@ def test_symmetric_members_builds_only_rotating_maps(monkeypatch):
     members = census.symmetric_members(4, 6, 3, 6)
     assert members
     assert len(sigmas) > 100_000 and 0 < len(built) <= rotating < 100
+
+
+def test_orientation_check_builds_only_simple_and_symmetric_maps(monkeypatch):
+    assert all(type(s) is bytes for s in run_census(4, 4, 4, False, True))
+    families = [census.rooted_quadrangulations(n, simple=False) for n in range(2, 6)]
+    families += [census.rooted_triangulations(n, simple=False) for n in (2, 4, 6)]
+    simple = sum(is_simple(m) for fam in families for m in fam)
+    built = []
+    fill = PlaneMap._fill
+    monkeypatch.setattr(PlaneMap, "_fill", lambda m, *a: built.append(m) or fill(m, *a))
+    census.symmetric_simple_quadrangulations(1)
+    census.symmetric_simple_quadrangulations(2)
+    census.symmetric_simple_triangulations(1)
+    symmetric = len(built)
+    built.clear()
+    ok, _ = verify.check_orientations(small=True)
+    assert ok
+    total = sum(map(len, families))
+    assert 0 < len(built) <= simple + symmetric and 20 * len(built) < total
 
 
 def orbit_sigmas(inner, outer, k, n_inner, simple):

@@ -48,7 +48,8 @@ def test_pure_kernel_matches_whole_state_oracle():
     for profile in ORACLE_PROFILES:
         for flags in ORACLE_FLAGS:
             got = kernel.run_census(*profile, **flags)
-            assert got == kernel_oracle.run_census(*profile, **flags), (profile, flags)
+            expect = list(map(bytes, kernel_oracle.run_census(*profile, **flags)))
+            assert got == expect, (profile, flags)
             maps += len(got)
             nonempty += bool(got)
     assert (maps, nonempty) == (71647, 26)

@@ -1,7 +1,7 @@
 import pytest
 
 from mapquot import census
-from mapquot.maps import PointedMap, is_simple
+from mapquot.maps import PointedMap, cycle_interior, is_simple
 from mapquot.orientations import (
     Orientation,
     OrientationInfeasible,
@@ -10,14 +10,37 @@ from mapquot.orientations import (
     check_symmetric_minimal,
     directed_simple_cycles,
     find_d_orientation,
-    has_d_orientation,
     is_minimal,
     leftmost_path,
     minimal_d_orientation,
     minimize,
+    overloaded_vertices,
 )
 
 from fixtures import cube, square_map, tetrahedron
+from orientation_oracle import has_d_orientation
+
+# (face degree, d, total faces): every family the orientation check reads
+ORIENTATION_FAMILIES = [(4, 2, n) for n in range(2, 8)] + [(3, 3, n) for n in (2, 4, 6, 8, 10)]
+
+
+def rooted_family(deg, n):
+    rooted = census.rooted_quadrangulations if deg == 4 else census.rooted_triangulations
+    return rooted(n, simple=False)
+
+
+def first_short_cycle(m):
+    """A dart of each edge of the first loop or 2-cycle, scanning edges in order."""
+    first = {}
+    for e in range(m.n_edges):
+        u, v = m.edge_endpoints(e)
+        if u == v:
+            return [2 * e]
+        key = frozenset((u, v))
+        if key in first:
+            return [2 * first[key], 2 * e]
+        first[key] = e
+    return None
 
 
 def non_simple_quadrangulation():
@@ -50,12 +73,39 @@ class TestFindOrientation:
             find_d_orientation(tetrahedron(), 2)
 
     def test_simple_iff_orientable(self):
-        for n in range(2, 7):
-            for m in census.rooted_quadrangulations(n, simple=False):
-                assert has_d_orientation(m, 2) == is_simple(m)
-        for n in (2, 4, 6):
-            for m in census.rooted_triangulations(n, simple=False):
-                assert has_d_orientation(m, 3) == is_simple(m)
+        """No obstruction on the sigma, simple, and orientable by the flow
+        search agree on every map, and every obstruction is a Hall violator."""
+        seen = obstructed = 0
+        for deg, d, n in ORIENTATION_FAMILIES:
+            fam = rooted_family(deg, n)
+            for sigma, m in zip(fam.sigmas, fam):
+                obstruction = overloaded_vertices(sigma)
+                assert (obstruction is None) == is_simple(m) == has_d_orientation(m, d)
+                if obstruction is not None:
+                    inside, touching = obstruction
+                    assert inside and touching < d * len(inside), (deg, n, sigma)
+                    obstructed += 1
+                seen += 1
+        assert (seen, obstructed) == (102_445, 101_829)
+
+    def test_obstruction_is_inside_the_first_short_cycle(self):
+        """inside is what cycle_interior finds strictly inside the first loop
+        or 2-cycle, and touching counts the edges at those vertices."""
+        far_end_only = 0  # inside vertices none of which neighbours the cycle's first vertex
+        for deg, _, n in [f for f in ORIENTATION_FAMILIES if f[2] <= (5 if f[0] == 4 else 8)]:
+            fam = rooted_family(deg, n)
+            for sigma, m in zip(fam.sigmas, fam):
+                cycle = first_short_cycle(m)
+                obstruction = overloaded_vertices(sigma)
+                assert (obstruction is None) == (cycle is None)
+                if cycle is None:
+                    continue
+                inside, touching = obstruction
+                assert inside == cycle_interior(m, cycle)[1]
+                assert touching == len({x >> 1 for v in inside for x in m.vertices[v]})
+                first_vertex = m.vertex_of[cycle[-1]]
+                far_end_only += not inside & set(m.neighbors(first_vertex))
+        assert far_end_only
 
     def test_outdegree_conservation(self):
         for m in census.rooted_quadrangulations(5, simple=True):

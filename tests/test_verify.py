@@ -8,6 +8,7 @@ import pytest
 
 from mapquot import census, verify
 from mapquot import series as S
+from mapquot.orientations import OrientationInfeasible
 
 
 def _empty_at(monkeypatch, module, name, size, empty):
@@ -22,7 +23,7 @@ def _empty_at(monkeypatch, module, name, size, empty):
          "no symmetric simple quadrangulations of size 2"),
         ("bijections", "symmetric_simple_triangulations", 3, [],
          "no symmetric simple triangulations of size 3"),
-        ("orientations", "rooted_triangulations", 4, [],
+        ("orientations", "rooted_triangulations", 4, census._Family(()),
          "no 3-orientable maps among 0 of degree 3, size 4"),
         ("census_series", "rooted_sphere_quads", 2, [],
          "no sphere quadrangulations for f_quad[2]"),
@@ -44,12 +45,33 @@ def test_empty_census_family_fails_with_its_name_and_size(
 
 
 def test_orientations_fail_when_no_map_is_orientable(monkeypatch):
-    monkeypatch.setattr(verify, "has_d_orientation", lambda m, d: False)
+    def infeasible(m, d):
+        raise OrientationInfeasible("no d-orientation exists")
+
+    monkeypatch.setattr(verify, "find_d_orientation", infeasible)
     ok, detail = verify.check_orientations(small=True)
     assert not ok
     n_maps = len(census.rooted_quadrangulations(2, simple=False))
     assert detail == f"no 2-orientable maps among {n_maps} of degree 4, size 2"
     assert n_maps > 0
+
+
+def test_orientations_fail_on_an_obstruction_that_is_no_hall_violator(monkeypatch):
+    real = verify.overloaded_vertices
+
+    def overloaded(sigma):
+        # 12 darts: the quadrangulations of size 3 and the triangulations of
+        # size 4; two edges per inside vertex fail the count for d = 2 only
+        found = real(sigma)
+        if found is None or len(sigma) != 12:
+            return found
+        inside, _ = found
+        return inside, 2 * len(inside)
+
+    monkeypatch.setattr(verify, "overloaded_vertices", overloaded)
+    ok, detail = verify.check_orientations(small=True)
+    assert not ok
+    assert detail == "failed: 2-orientable == simple, degree 4, size 3"
 
 
 def test_cross_series_names_the_broken_identity(monkeypatch):
