@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional
 
-from mapquot.kernel import kernel_form, run_census
+from mapquot.kernel import Sigmas, kernel_form, run_census
 from mapquot.maps import (
     DissectionSpec,
     MapError,
@@ -77,14 +77,14 @@ def _guard(value: int, cap_key: str, force: bool) -> None:
 
 
 class _Family:
-    """A rooted family, read-only.  Each map is kept as the bytes sigma the
-    kernel emits, one byte per dart (_guard_edges keeps families within 48
-    darts), rooted at dart 0, and built into a PlaneMap only when it is
-    reached."""
+    """A rooted family, read-only.  Its maps are kept as the Sigmas the kernel
+    emits, one buffer with one byte per dart of each map (_guard_edges keeps
+    families within 48 darts), rooted at dart 0, and built into a PlaneMap
+    only when they are reached."""
 
     __slots__ = ("sigmas",)
 
-    def __init__(self, sigmas: tuple[bytes, ...]):
+    def __init__(self, sigmas: Sigmas):
         self.sigmas = sigmas
 
     def __len__(self) -> int:
@@ -97,6 +97,20 @@ class _Family:
         return PlaneMap._trusted(self.sigmas[i])
 
 
+def _read_family(
+    outer_deg: int,
+    inner_deg: int,
+    n_inner: int,
+    simple: bool = False,
+    outer_simple: bool = False,
+) -> _Family:
+    """All rooted maps with the given face-degree profile, one per class,
+    generated afresh: the orientation check reads its families here, so they
+    are not kept once it is done."""
+    _guard_edges(outer_deg, inner_deg, n_inner)
+    return _Family(run_census(outer_deg, inner_deg, n_inner, simple, outer_simple))
+
+
 @lru_cache(maxsize=None)
 def rooted_family(
     outer_deg: int,
@@ -105,12 +119,9 @@ def rooted_family(
     simple: bool = False,
     outer_simple: bool = False,
 ) -> _Family:
-    """All rooted maps with the given face-degree profile, one per class."""
-    _guard_edges(outer_deg, inner_deg, n_inner)
-    sigmas = run_census(
-        outer_deg, inner_deg, n_inner, require_simple=simple, require_outer_simple=outer_simple
-    )
-    return _Family(tuple(sigmas))
+    """All rooted maps with the given face-degree profile, one per class,
+    cached for the process."""
+    return _read_family(outer_deg, inner_deg, n_inner, simple, outer_simple)
 
 
 # -- plain rooted families -------------------------------------------------
@@ -152,8 +163,12 @@ def simply_rooted_sphere_tris(n_faces: int, force: bool = False) -> _Family:
             d = sigma[d]
         return d == 1
 
-    fam = rooted_sphere_tris(n_faces, force)
-    return _Family(tuple(s for s in fam.sigmas if not loop_at_root(s)))
+    sigmas = rooted_sphere_tris(n_faces, force).sigmas
+    packed = bytearray()
+    for s in sigmas:
+        if not loop_at_root(s):
+            packed += s
+    return _Family(Sigmas(packed, sigmas.width))
 
 
 def rooted_quad_2_dissections(n_inner: int, force: bool = False):

@@ -137,7 +137,7 @@ def cmd_verify(args) -> int:
     names = list(CHECKS) if args.suite == "all" else args.suite.split(",")
     unknown = [n for n in names if n not in CHECKS]
     if unknown:
-        print(f"error: unknown checks: {', '.join(unknown)}", file=sys.stderr)
+        print(f"error: unknown checks: {', '.join(map(repr, unknown))}", file=sys.stderr)
         return 2
     small = args.max_size == "small"
     jobs = min(args.jobs, len(names))

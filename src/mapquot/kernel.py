@@ -31,11 +31,15 @@ lies in d's own orbit (an edge midpoint would be fixed) or when a forced side
 has left its partner's boundary cycle (the gluing would add a handle).  The
 glued sides stay a union of orbits, so the smallest unglued side is read the
 same way, and each rooted map that rho turns is reached exactly once.
+
+run_census returns a family as Sigmas: every sigma, one byte per dart, laid
+end to end in one read-only buffer, so a family holds at most 256 darts and
+costs one byte per dart and map.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Iterator, Sequence
 
 # perfbench/run.py records this flag, and perfbench/compare.py refuses to
 # compare runs where it differs.
@@ -66,17 +70,39 @@ def _boundary(d: int, phi_next: list[int], partner: list[int]) -> list[int]:
         cycle.append(t)
 
 
-def _emit(edges: list[int], phi_next: list[int], partner: list[int]) -> bytes:
-    """The sigma of a finished gluing, one byte per dart, edge j being the
-    j-th glued pair."""
-    total = len(phi_next)
-    new = [0] * total
+class Sigmas(Sequence[bytes]):
+    """Sigmas of one positive width, packed end to end in one read-only
+    buffer; [i] and iteration give each as bytes."""
+
+    __slots__ = ("buffer", "width")
+
+    def __init__(self, packed: bytearray, width: int):
+        self.buffer = memoryview(packed).toreadonly()
+        self.width = width
+
+    def __len__(self) -> int:
+        return len(self.buffer) // self.width
+
+    def __getitem__(self, i: int) -> bytes:
+        n = len(self)
+        if not -n <= i < n:
+            raise IndexError("sigma index out of range")
+        start = (i % n) * self.width
+        return self.buffer[start:start + self.width].tobytes()
+
+    def __iter__(self) -> Iterator[bytes]:
+        buf, w = self.buffer, self.width
+        for start in range(0, len(buf), w):
+            yield buf[start:start + w].tobytes()
+
+
+def _emit(edges: list[int], phi_next: list[int], partner: list[int], out: bytearray) -> None:
+    """Append the sigma of a finished gluing to out, one byte per dart, edge j
+    being the j-th glued pair (the sides in edges order)."""
+    new = [0] * len(edges)
     for j, t in enumerate(edges):
         new[t] = j
-    sigma = bytearray(total)
-    for t in range(total):
-        sigma[new[t]] = new[phi_next[partner[t]]]
-    return bytes(sigma)
+    out += bytes([new[phi_next[partner[t]]] for t in edges])
 
 
 def run_census(
@@ -86,14 +112,16 @@ def run_census(
     require_simple: bool = False,
     require_outer_simple: bool = False,
     k: int = 1,
-) -> list[bytes]:
+) -> Sigmas:
     """All rooted maps of the family that the rotation of order k turns (every
-    map when k = 1), as sigmas of one byte per dart (alpha = xor 1, root 0),
-    so a family holds at most 256 darts."""
+    map when k = 1), as Sigmas: one buffer holding each map's sigma, one byte
+    per dart (alpha = xor 1, root 0), so a family holds at most 256 darts.
+    The root face needs outer_deg >= 1."""
     n_blocks = 1 + n_inner
     total = outer_deg + n_inner * inner_deg
+    results = bytearray()  # the finished sigmas, end to end
     if total % 2 != 0 or outer_deg % k or n_inner % k:
-        return []
+        return Sigmas(results, total)
     offsets, phi_next = _polygons(outer_deg, inner_deg, n_inner)
     # images[s] = [rho s, rho^2 s, ..., rho^(k-1) s]
     images: list[list[int]] = [[] for _ in range(total)]
@@ -112,7 +140,6 @@ def run_census(
     members = [[t] for t in range(total)]  # corners of each class
     trail: list[tuple[int, int] | None] = []
     edges: list[int] = []  # flat pairs a0,b0,a1,b1,...
-    results: list[bytes] = []
 
     def union(x: int, y: int) -> None:
         rx, ry = label[x], label[y]
@@ -181,7 +208,7 @@ def run_census(
             d += 1
         if d == opened_end:
             if opened == n_blocks:
-                results.append(_emit(edges, phi_next, partner))
+                _emit(edges, phi_next, partner, results)
             return
         cands = _boundary(d, phi_next, partner)
         if opened == n_blocks and len(cands) % 2 == 0:
@@ -205,7 +232,7 @@ def run_census(
                 unglue()
 
     rec(0, 1)
-    return results
+    return Sigmas(results, total)
 
 
 def kernel_form(
@@ -248,4 +275,6 @@ def kernel_form(
             choices.append(cands.index(b))
         partner[d], partner[b] = b, d
         edges += (d, b)
-    return tuple(choices), _emit(edges, phi_next, partner)
+    sigma = bytearray()
+    _emit(edges, phi_next, partner, sigma)
+    return tuple(choices), bytes(sigma)

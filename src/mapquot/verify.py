@@ -228,7 +228,8 @@ def check_orientations(small: bool = False) -> tuple[bool, str]:
 
     A non-simple map is proved non-orientable by the Hall violator that
     overloaded_vertices reads from its sigma; only the simple maps are built
-    and given the flow search."""
+    and given the flow search.  No other check reads these families, so they
+    are read past the rooted_family cache and freed once walked."""
     checks: dict[str, bool] = {}
 
     def note(name: str, ok: bool) -> None:
@@ -237,11 +238,10 @@ def check_orientations(small: bool = False) -> tuple[bool, str]:
     paths = 0
     fams = [(4, 2, range(2, 6 if small else 8)), (3, 3, range(2, 7 if small else 11, 2))]
     for deg, d, sizes in fams:
-        rooted = census.rooted_quadrangulations if deg == 4 else census.rooted_triangulations
         for n in sizes:
             where = f"degree {deg}, size {n}"
             orientable_iff_simple = f"{d}-orientable == simple, {where}"
-            fam = rooted(n, simple=False)
+            fam = census._read_family(deg, deg, n - 1, outer_simple=True)
             feasible = 0
             for i, sigma in enumerate(fam.sigmas):
                 obstruction = overloaded_vertices(sigma)

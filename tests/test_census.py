@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from mapquot import census
@@ -55,6 +57,13 @@ class TestRootedCounts:
         assert all(type(s) is bytes for s in fam.sigmas)
         assert [m.sigma for m in fam] == [tuple(s) for s in fam.sigmas]
         assert fam[5] == PlaneMap(fam.sigmas[5], 0)
+
+    def test_family_is_one_buffer_of_one_byte_per_dart(self):
+        sigmas = census.rooted_family(4, 4, 5, outer_simple=True).sigmas
+        assert (len(sigmas), sigmas.width) == (7425, 24)
+        assert sigmas.buffer.nbytes == 7425 * 24
+        # the growing buffer over-allocates by at most an eighth
+        assert sys.getsizeof(sigmas.buffer.obj) <= sys.getsizeof(bytearray(7425 * 24 * 9 // 8))
 
     def test_one_inner_face_quadrangulation_is_unique(self):
         fam = census.rooted_quadrangulations(2, simple=True)

@@ -218,7 +218,20 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert captured.err == "error: unknown checks: nonsense\n"
+        assert captured.err == "error: unknown checks: 'nonsense'\n"
+
+    @pytest.mark.parametrize(
+        "suite,names",
+        [("series_golden,,closed_forms", "''"), (" series_golden", "' series_golden'"),
+         ("a,series_golden,b", "'a', 'b'")],
+        ids=["empty", "padded", "two"],
+    )
+    def test_unknown_check_names_are_quoted(self, capsys, suite, names):
+        code = main(["verify", "--suite", suite])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: unknown checks: {names}\n"
 
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_jobs_below_one_is_a_usage_error(self, capsys, jobs):

@@ -47,7 +47,7 @@ def test_pure_kernel_matches_whole_state_oracle():
     maps = nonempty = 0
     for profile in ORACLE_PROFILES:
         for flags in ORACLE_FLAGS:
-            got = kernel.run_census(*profile, **flags)
+            got = list(kernel.run_census(*profile, **flags))
             expect = list(map(bytes, kernel_oracle.run_census(*profile, **flags)))
             assert got == expect, (profile, flags)
             maps += len(got)
@@ -106,7 +106,19 @@ def test_search_node_counts(case):
 
 
 def test_odd_dart_count_yields_nothing():
-    assert kernel.run_census(3, 3, 2) == []
+    assert len(kernel.run_census(3, 3, 2)) == 0
+
+
+def test_census_is_one_packed_sequence_of_sigmas():
+    sigmas = kernel.run_census(4, 4, 3)
+    listed = list(sigmas)
+    assert len(sigmas) == len(listed) == 378
+    assert all(type(s) is bytes and len(s) == 16 for s in listed)
+    assert sigmas[0] == listed[0] and sigmas[-1] == listed[-1] and sigmas[-378] == listed[0]
+    for i in (378, -379):
+        with pytest.raises(IndexError):
+            sigmas[i]
+    assert sigmas.buffer.readonly and sigmas.buffer.tobytes() == b"".join(listed)
 
 
 def test_benchmark_environment_probe_reads_compiled_false():

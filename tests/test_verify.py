@@ -7,38 +7,43 @@ from fractions import Fraction
 import pytest
 
 from mapquot import census, verify
+from mapquot.kernel import Sigmas
 from mapquot import series as S
 from mapquot.orientations import OrientationInfeasible
 
 
-def _empty_at(monkeypatch, module, name, size, empty):
+def _empty_at(monkeypatch, module, name, lead, empty):
+    """Patch module.name to return empty when its leading arguments are lead."""
     real = getattr(module, name)
-    monkeypatch.setattr(module, name, lambda n, *a, **kw: empty if n == size else real(n, *a, **kw))
+    monkeypatch.setattr(
+        module, name, lambda *a, **kw: empty if a[:len(lead)] == lead else real(*a, **kw)
+    )
 
 
 @pytest.mark.parametrize(
-    "check,patched,size,empty,expected",
+    "check,patched,lead,empty,expected",
     [
-        ("bijections", "symmetric_simple_quadrangulations", 2, [],
+        ("bijections", "symmetric_simple_quadrangulations", (2,), [],
          "no symmetric simple quadrangulations of size 2"),
-        ("bijections", "symmetric_simple_triangulations", 3, [],
+        ("bijections", "symmetric_simple_triangulations", (3,), [],
          "no symmetric simple triangulations of size 3"),
-        ("orientations", "rooted_triangulations", 4, census._Family(()),
+        # the size-4 triangulations: outer and inner degree 3, 3 inner faces, 12 darts
+        ("orientations", "_read_family", (3, 3, 3), census._Family(Sigmas(bytearray(), 12)),
          "no 3-orientable maps among 0 of degree 3, size 4"),
-        ("census_series", "rooted_sphere_quads", 2, [],
+        ("census_series", "rooted_sphere_quads", (2,), [],
          "no sphere quadrangulations for f_quad[2]"),
-        ("census_series", "simply_rooted_sphere_tris", 4, [],
+        ("census_series", "simply_rooted_sphere_tris", (4,), [],
          "no simply rooted sphere triangulations for f_tri[2]"),
-        ("two_point_census", "two_point_quad_table", 2, {},
+        ("two_point_census", "two_point_quad_table", (2,), {},
          "empty two-point quadrangulation table at size 2"),
     ],
     ids=["bijections-quad", "bijections-tri", "orientations", "census-sphere-quad",
          "census-sphere-tri", "two-point"],
 )
 def test_empty_census_family_fails_with_its_name_and_size(
-    monkeypatch, check, patched, size, empty, expected
+    monkeypatch, check, patched, lead, empty, expected
 ):
-    _empty_at(monkeypatch, census, patched, size, empty)
+    _empty_at(monkeypatch, census, patched, lead, empty)
     ok, detail = verify.CHECKS[check](True)
     assert not ok
     assert detail == expected
@@ -72,6 +77,15 @@ def test_orientations_fail_on_an_obstruction_that_is_no_hall_violator(monkeypatc
     ok, detail = verify.check_orientations(small=True)
     assert not ok
     assert detail == "failed: 2-orientable == simple, degree 4, size 3"
+
+
+def test_orientation_families_are_not_cached():
+    # only the orientation check reads the non-simple families, so they are
+    # freed once it has walked them
+    census.rooted_family.cache_clear()
+    ok, _ = verify.check_orientations(small=True)
+    assert ok
+    assert census.rooted_family.cache_info().currsize == 0
 
 
 def test_cross_series_names_the_broken_identity(monkeypatch):
