@@ -18,7 +18,6 @@ from mapquot.maps import (
     canonical_code,
     distances_from,
     enclosing_girth,
-    face_degrees,
     is_irreducible,
     is_quasi_simple,
     is_simple,
@@ -37,7 +36,6 @@ __all__ = [
     "canonical_code",
     "distances_from",
     "enclosing_girth",
-    "face_degrees",
     "is_irreducible",
     "is_quasi_simple",
     "is_simple",

@@ -399,6 +399,9 @@ def generate(q: CensusQuery) -> Iterator[PlaneMap]:
         raise MapError("pointed families are neither simple nor symmetric")
     if s.irreducible and (s.pointed or s.symmetry_k):
         raise MapError("irreducibility applies to plain families only")
+    if s.irreducible and s.outer_degree <= s.inner_face_degree:
+        # the outer contour is itself a short cycle around every inner face
+        raise MapError("irreducible families need an outer degree above the inner degree")
     if s.pointed and s.outer_degree != s.inner_face_degree - 2:
         raise MapError("pointed families have outer degree 2 (quadrangular) or 1 (triangular)")
     if s.symmetry_k:

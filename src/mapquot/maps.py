@@ -130,13 +130,6 @@ class PlaneMap:
     def n_faces(self) -> int:
         return len(self.faces)
 
-    def alpha(self, d: int) -> int:
-        return d ^ 1
-
-    def phi(self, d: int) -> int:
-        """Next dart of the face on the left of d."""
-        return self.sigma[d ^ 1]
-
     def edge_endpoints(self, edge: int) -> tuple[int, int]:
         return self.vertex_of[2 * edge], self.vertex_of[2 * edge + 1]
 
@@ -272,14 +265,6 @@ class DissectionSpec:
 
 
 # -- metrics -------------------------------------------------------------
-
-
-def face_degrees(m: PlaneMap) -> dict:
-    """Degrees of all faces, with the outer face flagged separately."""
-    inner = sorted(
-        len(f) for i, f in enumerate(m.faces) if i != m.outer_face
-    )
-    return {"outer": m.outer_degree(), "inner": inner}
 
 
 def distances_from(m: PlaneMap, vertex: int) -> list[int]:
@@ -604,20 +589,3 @@ def rotation(
         if gcd(j, k) == 1:
             best = min(best, power)
     return best
-
-
-# -- construction helpers --------------------------------------------------
-
-
-def relabel(m: PlaneMap, dart_perm: Sequence[int]) -> PlaneMap:
-    """Conjugate the rotation system by a dart permutation respecting alpha."""
-    n = m.n_darts
-    if sorted(dart_perm) != list(range(n)):
-        raise NotAPermutation("relabeling is not a permutation")
-    for d in range(n):
-        if dart_perm[d ^ 1] != dart_perm[d] ^ 1:
-            raise MapError("relabeling must respect the dart pairing")
-    sigma = [0] * n
-    for d in range(n):
-        sigma[dart_perm[d]] = dart_perm[m.sigma[d]]
-    return PlaneMap(sigma, dart_perm[m.root_dart])

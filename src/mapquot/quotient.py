@@ -10,9 +10,7 @@ edge's leftmost path.  Every inverse ends in one k-fold cyclic cover
 its least order-k rotation (maps.rotation).
 
 Surgery happens on a mutable rotation system with explicit edge pairing
-(_Surgeon); results are frozen back into validated PlaneMaps.  Dying darts
-are recorded in an alias log so vertices and edges can be traced through a
-surgery.
+(_Surgeon); results are frozen back into validated PlaneMaps.
 """
 
 from __future__ import annotations
@@ -55,21 +53,15 @@ class ReconstructionFailed(MapError):
 class _Surgeon:
     """Rotation system under surgery: dicts for sigma and an explicit alpha."""
 
-    __slots__ = ("sigma", "alpha", "alias")
+    __slots__ = ("sigma", "alpha")
 
     def __init__(self, sigma: dict, alpha: dict):
         self.sigma = sigma
         self.alpha = alpha
-        self.alias: dict[int, int] = {}
 
     @classmethod
     def from_map(cls, m: PlaneMap) -> "_Surgeon":
         return cls(dict(enumerate(m.sigma)), {d: d ^ 1 for d in range(m.n_darts)})
-
-    def resolve(self, d: int) -> int:
-        while d in self.alias:
-            d = self.alias[d]
-        return d
 
     def phi(self, d: int) -> int:
         return self.sigma[self.alpha[d]]
@@ -192,10 +184,9 @@ class _Surgeon:
             self.set_cycle(cyc)
         return twins
 
-    def zip_fold(self, t: int) -> int:
+    def zip_fold(self, t: int) -> None:
         """Fold edge(t) onto the boundary-consecutive edge(phi(t)); tail(t)
-        merges with the head of the surviving edge.  Returns the surviving
-        contour dart."""
+        merges with the head of the surviving edge, and edge(t) dies."""
         s = self.phi(t)
         ta = self.alpha[t]
         sa = self.alpha[s]
@@ -214,9 +205,6 @@ class _Surgeon:
         for d in (t, ta):
             del self.sigma[d]
             del self.alpha[d]
-        self.alias[t] = sa
-        self.alias[ta] = s
-        return s
 
     def join(self, x: int, y: int) -> None:
         """Glue boundary edge(x) onto boundary edge(y) of another component,
@@ -231,35 +219,24 @@ class _Surgeon:
         for d in (y, ya):
             del self.sigma[d]
             del self.alpha[d]
-        self.alias[y] = xa
-        self.alias[ya] = x
 
     def glue_path(self, arc1: Sequence[int], arc2: Sequence[int]) -> None:
         """Sew two boundary arcs (contour-ordered, equal length), pairing
         arc1[i] with arc2[len-1-i].  Across components the first pair is a
-        join; within one component the sewing starts from whichever end is
-        already contour-adjacent."""
+        join and the arc2 side dies in the remaining zips; within one
+        component the sewing starts at the slit tip, where arc1[-1] is
+        followed on the contour by arc2[0], and the arc1 side dies."""
         L = len(arc1)
         if len(arc2) != L:
             raise MapError("arcs of different lengths cannot be sewn")
         pairs = [(arc1[i], arc2[L - 1 - i]) for i in range(L)]
-        if self.component(pairs[0][0]) != self.component(pairs[0][1]):
+        if self.component(arc1[0]) != self.component(arc2[-1]):
             self.join(*pairs[0])
-            rest = pairs[1:]
-            dying = 1  # arc2 side dies in the remaining zips
-        elif self.phi(pairs[0][1]) == pairs[0][0]:
-            self.zip_fold(pairs[0][1])
-            rest = pairs[1:]
-            dying = 1
-        elif self.phi(pairs[-1][0]) == pairs[-1][1]:
-            self.zip_fold(pairs[-1][0])
-            rest = pairs[-2::-1]
-            dying = 0
+            zips = [(y, x) for x, y in pairs[1:]]
         else:
-            raise ReconstructionFailed("arcs are not adjacent for in-place sewing")
-        for pair in rest:
-            t = pair[dying]
-            if self.phi(t) != pair[1 - dying]:
+            zips = pairs[::-1]
+        for t, s in zips:
+            if self.phi(t) != s:
                 raise ReconstructionFailed("boundary sewing lost adjacency")
             self.zip_fold(t)
 
@@ -335,11 +312,9 @@ def _cyclic_cover(sector: _Surgeon, arc_a, arc_b, k: int, root: int, center: int
         big.alpha.update((x + off, y + off) for x, y in sector.alpha.items())
     for j in range(k):
         b_off, a_off = j * block, (j + 1) % k * block
-        big.glue_path(
-            [big.resolve(x + b_off) for x in arc_b], [big.resolve(x + a_off) for x in arc_a]
-        )
-    cover, new = big.freeze(big.resolve(root))
-    c = cover.vertex_of[new[big.resolve(center)]]
+        big.glue_path([x + b_off for x in arc_b], [x + a_off for x in arc_a])
+    cover, new = big.freeze(root)
+    c = cover.vertex_of[new[center]]
     rho = rotation(cover.sigma, cover.root_dart, k, c)
     if rho is None:
         raise ReconstructionFailed("the cyclic cover is not k-symmetric")
@@ -423,7 +398,7 @@ def _sector_split(s: SymmetricMap, d: int):
 
     surgeon = _Surgeon.from_map(m)
     cut1 = [x ^ 1 for x in reversed(paths[1])] + list(base)
-    twins1 = surgeon.slit(cut1, split_tail=True, fresh=m.n_darts, outer_darts=outer)
+    surgeon.slit(cut1, split_tail=True, fresh=m.n_darts, outer_darts=outer)
     fresh = m.n_darts + 2 * len(cut1)
     if k == 3:
         third = paths[2]
@@ -435,21 +410,12 @@ def _sector_split(s: SymmetricMap, d: int):
         )
         surgeon.slit(third, split_tail=True, fresh=fresh, outer_darts=boundary_now)
 
-    # primary sector: its boundary face contains a (center -> first path
-    # vertex) dart copy plus original outer darts
-    expected = 2 * p + m.outer_degree() // k
-    candidates = (base[0], twins1[len(cut1) // 2][0])
-    target = None
-    for cand in candidates:
-        if cand not in surgeon.sigma:
-            continue
-        contour = surgeon.face_cycle(cand)
-        if len(contour) == expected and any(x in outer for x in contour):
-            target = cand
-            break
-    if target is None:
+    # primary sector: the face of the center -> first path vertex dart, with
+    # both banks of the sector and its share of the original outer darts
+    contour = surgeon.face_cycle(base[0])
+    if len(contour) != 2 * p + m.outer_degree() // k or not any(x in outer for x in contour):
         raise MapError("could not identify the primary sector")
-    return surgeon, target, p
+    return surgeon, base[0], p
 
 
 def _fold(surgeon: _Surgeon, d0: int, p: int) -> int:
@@ -480,10 +446,10 @@ def _phi_generic(s: SymmetricMap, d: int, family_error) -> MarkedMap:
     surgeon, d0, p = _sector_split(s, d)
     mark_dart = _fold(surgeon, d0, p)
 
-    comp = surgeon.component(surgeon.resolve(mark_dart))
+    comp = surgeon.component(mark_dart)
     root = next(x for x in m.faces[m.outer_face] if x in comp)
     out, new = surgeon.freeze(root)
-    marked_edge = new[surgeon.resolve(mark_dart)] >> 1
+    marked_edge = new[mark_dart] >> 1
     result = MarkedMap(out, marked_edge)
 
     n_inner_expected = (m.n_faces - 1) // d
@@ -527,22 +493,15 @@ def _phi_inverse_generic(m: PlaneMap, e: int, d: int) -> SymmetricMap:
         lpath = leftmost_path(o, s0)
         p = len(lpath) + 1
         outer = frozenset(m.faces[m.outer_face])
-        twins = sector.slit(lpath, split_tail=False, fresh=m.n_darts, outer_darts=outer)
-        # the slit tip carries both copies of the marked edge; the contour
-        # leaves the tip through one of them, preceded by the center->v1 dart
-        expected = 2 * p + m.outer_degree() // d
-        d0 = None
-        for c in (s0, twins[0][0]):
-            if len(sector.face_cycle(c)) == expected:
-                d0 = sector.alpha[sector.sigma_prev(c)]
-                break
-        if d0 is None:
-            raise ReconstructionFailed("could not locate the sector boundary")
+        sector.slit(lpath, split_tail=False, fresh=m.n_darts, outer_darts=outer)
+        # the contour leaves the slit tip through s0, preceded by the
+        # center->v1 dart
+        d0 = sector.alpha[sector.sigma_prev(s0)]
 
     contour = sector.face_cycle(d0)
-    oq = len(contour) - 2 * p
-    if oq != m.outer_degree() // d:
-        raise ReconstructionFailed("sector boundary has unexpected length")
+    oq = m.outer_degree() // d
+    if len(contour) != 2 * p + oq:
+        raise ReconstructionFailed("could not locate the sector boundary")
     # the outer-arc darts between the banks always stay on the boundary
     sym = _cyclic_cover(sector, contour[:p], contour[p + oq :], d, contour[p], d0)
     if (phi if d == 2 else phi_tri)(sym).code() != unrooted_code(m, marked_edge=e):

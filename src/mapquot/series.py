@@ -12,7 +12,6 @@ integer coefficients before being exposed as counts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -152,9 +151,6 @@ class TruncSeries:
         n = min(self.order, other.order)
         return self.coeffs[: n + 1] == other.coeffs[: n + 1]
 
-    def __hash__(self):
-        return hash(self.coeffs)
-
     def __repr__(self):
         head = ", ".join(str(c) for c in self.coeffs[: min(8, len(self.coeffs))])
         return f"TruncSeries([{head}{', ...' if self.order > 7 else ''}])"
@@ -282,21 +278,6 @@ def fixpoint_solve(
     return s
 
 
-@dataclass(frozen=True)
-class AlgebraicSeries:
-    """A named series together with its defining (cleared) equation."""
-
-    name: str
-    series: TruncSeries
-    residual: Callable[[TruncSeries], TruncSeries]
-
-    def residual_series(self) -> TruncSeries:
-        return self.residual(self.series)
-
-    def check(self) -> bool:
-        return self.residual_series().is_zero()
-
-
 # -- the catalogue -----------------------------------------------------------
 
 #: size conventions for the named series (emitted as CLI metadata)
@@ -343,15 +324,6 @@ def named(name: str, order: int) -> TruncSeries:
     if builder is None:
         raise UnknownName(f"no series named {name!r}")
     return builder(order)
-
-
-@lru_cache(maxsize=None)
-def algebraic(name: str, order: int) -> AlgebraicSeries:
-    builder = _ALGEBRAIC.get(name)
-    if builder is None:
-        raise UnknownName(f"no algebraic series named {name!r}")
-    start, residual = builder(order)
-    return AlgebraicSeries(name, fixpoint_solve(residual, order, start, name), residual)
 
 
 def _one(order: int) -> TruncSeries:
@@ -596,8 +568,15 @@ _BUILDERS: dict[str, Callable[[int], TruncSeries]] = {
     "v_tri": _build_v_tri,
     "d3_tri": _build_d3_tri,
 }
+
+
+def _solve(name: str, order: int) -> TruncSeries:
+    start, residual = _ALGEBRAIC[name](order)
+    return fixpoint_solve(residual, order, start, name)
+
+
 for _name in _ALGEBRAIC:
-    _BUILDERS[_name] = lambda order, _n=_name: algebraic(_n, order).series
+    _BUILDERS[_name] = lambda order, _n=_name: _solve(_n, order)
 
 
 # -- two-point families -------------------------------------------------------
@@ -695,7 +674,8 @@ def two_point_level(family: str, i: int, order: int) -> TruncSeries:
 
 
 def check_residuals(order: int = 30) -> dict[str, bool]:
-    return {name: algebraic(name, order).check() for name in _ALGEBRAIC}
+    """Whether each algebraic series, as `named` caches it, zeroes its residual."""
+    return {name: alg(order)[1](named(name, order)).is_zero() for name, alg in _ALGEBRAIC.items()}
 
 
 def substitution_y_of_x(order: int) -> TruncSeries:

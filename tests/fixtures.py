@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from mapquot.maps import MapError, PlaneMap, PointedMap
+from mapquot.maps import MapError, NotAPermutation, PlaneMap, PointedMap
 
 
 def from_face_lists(faces: Sequence[Sequence[int]], outer: int = 0) -> PlaneMap:
@@ -118,3 +118,23 @@ def hexagon_wheel() -> PlaneMap:
 def torus_sigma() -> list[int]:
     # one vertex, two crossing loops: genus 1
     return [2, 3, 1, 0]
+
+
+def face_degrees(m: PlaneMap) -> dict:
+    """Degrees of all faces, with the outer face flagged separately."""
+    inner = sorted(len(f) for i, f in enumerate(m.faces) if i != m.outer_face)
+    return {"outer": m.outer_degree(), "inner": inner}
+
+
+def relabel(m: PlaneMap, dart_perm: Sequence[int]) -> PlaneMap:
+    """Conjugate the rotation system by a dart permutation respecting alpha."""
+    n = m.n_darts
+    if sorted(dart_perm) != list(range(n)):
+        raise NotAPermutation("relabeling is not a permutation")
+    for d in range(n):
+        if dart_perm[d ^ 1] != dart_perm[d] ^ 1:
+            raise MapError("relabeling must respect the dart pairing")
+    sigma = [0] * n
+    for d in range(n):
+        sigma[dart_perm[d]] = dart_perm[m.sigma[d]]
+    return PlaneMap(sigma, dart_perm[m.root_dart])

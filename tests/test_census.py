@@ -9,6 +9,7 @@ from mapquot.maps import (
     PlaneMap,
     PointedMap,
     canonical_code,
+    is_irreducible,
     is_quasi_simple,
     is_simple,
     radial_distance,
@@ -183,6 +184,23 @@ class TestQueries:
     def test_generate_rejects_irreducible_symmetric_and_pointed(self, spec):
         with pytest.raises(MapError, match="irreducib"):
             list(census.generate(census.CensusQuery(spec, 3)))
+
+    @pytest.mark.parametrize("degree", [4, 3])
+    def test_generate_rejects_irreducible_with_a_short_outer_contour(self, degree):
+        # the outer contour is a cycle of length <= d around every inner face,
+        # so the family would be empty past its smallest member
+        spec = DissectionSpec(degree, degree, simple=True, irreducible=True)
+        with pytest.raises(MapError, match="irreducible families need an outer degree above"):
+            list(census.generate(census.CensusQuery(spec, 4)))
+
+    def test_generate_irreducible_hexagon_dissections(self):
+        spec = DissectionSpec(4, 6, simple=True, irreducible=True)
+        counts = {}
+        for n in (2, 3, 4, 5):
+            members = list(census.generate(census.CensusQuery(spec, n)))
+            assert all(is_irreducible(m, 4) for m in members)
+            counts[n] = len(members)
+        assert counts == {2: 3, 3: 2, 4: 3, 5: 6}
 
     def test_cap_enforced(self):
         with pytest.raises(census.SizeCapExceeded):

@@ -13,17 +13,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mapquot import jsonio
+from mapquot import census, jsonio
 from mapquot.cli import main
 from mapquot.maps import PlaneMap, unrooted_code
+from mapquot.quotient import phi, phi_tri
 
-from fixtures import hexagon_wheel, square_map, w_fan
+from fixtures import cube, hexagon_wheel, square_map, w_fan
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out
+
+
+def run_on_stdin(capsys, monkeypatch, text, *argv):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def assert_usage_error(code, out, err, message):
+    """Exit 2 with nothing on stdout and exactly one error line, no traceback."""
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_readme_commands_exit_0(capsys):
@@ -61,6 +77,14 @@ class TestSeriesCommand:
             "--order", "4",
         )
         assert json.loads(out)["size_convention"] == "n, with (2n+1)k inner faces"
+
+    @pytest.mark.parametrize("extra", [(), ("--i", "2"), ("--family", "quad")],
+                             ids=["neither", "no-family", "no-i"])
+    def test_two_point_name_needs_family_and_i(self, capsys, extra):
+        code = main(["series", "--name", "two_point", *extra])
+        captured = capsys.readouterr()
+        assert_usage_error(code, captured.out, captured.err,
+                           "--name two_point needs --family and --i")
 
     def test_deterministic_output(self, capsys):
         _, out1 = run_cli(capsys, "series", "--name", "t", "--order", "10")
@@ -193,6 +217,41 @@ class TestQuotientCommands:
             fan, pointed=fan.vertex_of[5]
         )
 
+    # the quotient of the first member of each family, as the CLI prints it
+    NEW_QUOTIENT_OF_FIRST = {
+        "quad": ([4, 2, 1, 11, 8, 6, 5, 3, 0, 10, 9, 7], 4),
+        "tri": ([4, 2, 7, 11, 10, 6, 8, 1, 5, 3, 0, 9], 2),
+    }
+
+    @pytest.mark.parametrize("family", ["quad", "tri"])
+    def test_new_quotient_prints_the_marked_map(self, capsys, monkeypatch, family):
+        if family == "quad":
+            members, quotient = census.symmetric_simple_quadrangulations(2), phi
+        else:
+            members, quotient = census.symmetric_simple_triangulations(3), phi_tri
+        assert members
+        outs = []
+        for sym in members:
+            record = jsonio.dumps(jsonio.symmetric_record(sym))
+            code, out, err = run_on_stdin(capsys, monkeypatch, record, "quotient", "new")
+            assert (code, err) == (0, "")
+            mm = quotient(sym)
+            assert out == jsonio.dumps(jsonio.map_record(mm.map, marked_edge=mm.marked_edge)) + "\n"
+            outs.append(json.loads(out))
+        sigma, marked_edge = self.NEW_QUOTIENT_OF_FIRST[family]
+        assert (outs[0]["sigma"], outs[0]["marked_edge"]) == (sigma, marked_edge)
+
+    @pytest.mark.parametrize("mode,message", [
+        ("classic", "classic quotient needs a symmetric map record"),
+        ("new", "the edge-marking quotient needs a symmetric map record"),
+        ("unroll", "unroll needs a pointed map record"),
+    ])
+    def test_quotient_of_a_plain_record_is_an_input_error(self, capsys, monkeypatch, mode, message):
+        record = jsonio.dumps(jsonio.map_record(square_map()))
+        code, out, err = run_on_stdin(capsys, monkeypatch, record, "quotient", mode)
+        assert_usage_error(code, out, err, message)
+        assert err == f"error: {message}\n"
+
     def test_orient(self, capsys, monkeypatch):
         import io, sys
 
@@ -267,6 +326,10 @@ class TestVerifyCommand:
         assert requested == [2]
 
 
+# a path u-v-w: edges 0 and 1 both join u and v, edge 3 is a loop at w
+LOOP_AND_DOUBLE_EDGE = PlaneMap([2, 4, 0, 1, 3, 6, 7, 5])
+
+
 class TestRenderCommand:
     def test_square_renders_polygon(self, capsys, monkeypatch):
         import io, sys
@@ -277,6 +340,20 @@ class TestRenderCommand:
         assert code == 0
         assert out.startswith("<svg")
         assert out.count("<line") == 4
+
+    @pytest.mark.parametrize("m,strokes", [(cube(), (12, 0, 0)), (LOOP_AND_DOUBLE_EDGE, (2, 1, 1))],
+                             ids=["cube", "loop-and-double-edge"])
+    def test_one_dot_per_vertex_and_one_stroke_per_edge(self, capsys, monkeypatch, m, strokes):
+        """Lines for edges, a bowed path for a second parallel edge, a circle
+        of radius 8 for a loop, and a dot of radius 3 for each vertex."""
+        record = jsonio.dumps(jsonio.map_record(m))
+        code, out, err = run_on_stdin(capsys, monkeypatch, record, "render")
+        assert (code, err) == (0, "")
+        assert out.startswith("<svg") and out.endswith("</svg>\n")
+        assert out.count('r="3"') == m.n_vertices
+        assert (out.count("<line"), out.count("<path"), out.count('r="8"')) == strokes
+        assert sum(strokes) == m.n_edges
+        assert run_on_stdin(capsys, monkeypatch, record, "render")[1] == out
 
     def test_degenerate_map_gets_schematic(self, capsys, monkeypatch):
         import io, sys
@@ -349,6 +426,12 @@ class TestInputContract:
         )
         assert proc.returncode == 2
         assert proc.stderr == "error: a map record must be a JSON object\n"
+
+    @pytest.mark.parametrize("text", ["", "{", '{"sigma": [1, 0]', "not json"],
+                             ids=["empty", "open-brace", "unclosed", "bare-word"])
+    def test_malformed_json_is_an_input_error(self, capsys, monkeypatch, text):
+        code, out, err = run_on_stdin(capsys, monkeypatch, text, "quotient", "classic")
+        assert_usage_error(code, out, err, "bad JSON input")
 
     def test_missing_input_file_is_an_input_error(self, capsys, tmp_path):
         code = main(["orient", "--input", str(tmp_path / "absent.json")])

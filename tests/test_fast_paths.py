@@ -26,11 +26,11 @@ from mapquot.maps import (
     marked_code,
     minimal_rootings,
     radial_distance,
-    relabel,
     rotation,
     unrooted_code,
 )
 
+from fixtures import relabel
 from rotation_oracle import find_rotation_automorphisms, least_rotation
 
 

@@ -16,12 +16,10 @@ from mapquot.maps import (
     cycle_interior,
     distances_from,
     enclosing_girth,
-    face_degrees,
     is_irreducible,
     is_quasi_simple,
     is_simple,
     radial_distance,
-    relabel,
     rotation,
     simple_cycles,
     unrooted_code,
@@ -29,8 +27,10 @@ from mapquot.maps import (
 
 from fixtures import (
     cube,
+    face_degrees,
     hexagon_wheel,
     path_sphere_quad,
+    relabel,
     ring_quadrangulation,
     square_map,
     tetrahedron,

@@ -29,7 +29,7 @@ def test_newton_matches_order_by_order_oracle():
         for name, builder in S._ALGEBRAIC.items():
             start, residual = builder(order)
             expected = order_by_order(residual, order, start)
-            assert S.algebraic(name, order).series.coeffs == expected.coeffs, (name, order)
+            assert S.named(name, order).coeffs == expected.coeffs, (name, order)
             seen.add(name)
     assert len(seen) == 14
 

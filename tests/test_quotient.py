@@ -198,6 +198,36 @@ class TestPhiTri:
                     assert phi_tri(sym).code() == code
 
 
+@pytest.mark.parametrize(
+    "quotient,inverse,members_of,rooted,n,expected",
+    [
+        (phi, phi_inverse, census.symmetric_simple_quadrangulations,
+         census.rooted_quadrangulations, 5, 273),
+        (phi_tri, phi_tri_inverse, census.symmetric_simple_triangulations,
+         census.rooted_triangulations, 5, 9),
+        (phi_tri, phi_tri_inverse, census.symmetric_simple_triangulations,
+         census.rooted_triangulations, 7, 52),
+    ],
+    ids=["phi-5", "phi_tri-5", "phi_tri-7"],
+)
+def test_edge_marking_past_the_verify_sizes(
+    monkeypatch, quotient, inverse, members_of, rooted, n, expected
+):
+    """Round trips and the theorem's cardinality one step past the sizes
+    that `verify` reaches.  The order-3 triangulations of size 7 have 21
+    inner faces and 33 edges, past the default edge cap."""
+    monkeypatch.setattr(census, "MAX_EDGES", 33)
+    members = members_of(n, force=True)
+    images = set()
+    for sym in members:
+        mm = quotient(sym)
+        images.add(mm.code())
+        back = inverse(mm.map, mm.marked_edge)
+        assert symmetric_code(back) == symmetric_code(sym)
+    marked = census.marked_edge_count(rooted(n + 1, simple=True))
+    assert len(images) == len(members) == marked == expected
+
+
 class TestRootedCorollaries:
     def test_marked_face_equals_rooted_quasi_simple_pointed(self):
         for n in (1, 2, 3):

@@ -65,6 +65,14 @@ class TestArithmetic:
         with pytest.raises(DivisorNotUnit):
             TruncSeries([0, 1, 0]).shift(-2)
 
+    def test_equality_truncates_so_series_are_unhashable(self):
+        # == compares up to the shorter order, which no hash can respect
+        short = TruncSeries([1, 2])
+        assert short == TruncSeries([1, 2, 3]) and short == TruncSeries([1, 2, 4])
+        assert TruncSeries([1, 2, 3]) != TruncSeries([1, 2, 4])
+        with pytest.raises(TypeError):
+            hash(TruncSeries([1, 2]))
+
     @given(
         a=st.lists(st.integers(-9, 9), min_size=5, max_size=5),
         b=st.lists(st.integers(-9, 9), min_size=5, max_size=5),
