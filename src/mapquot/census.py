@@ -72,7 +72,7 @@ def _guard(value: int, cap_key: str, force: bool) -> None:
     if not force and value > DEFAULT_CAPS[cap_key]:
         raise SizeCapExceeded(
             f"{cap_key}={value} exceeds the default cap "
-            f"{DEFAULT_CAPS[cap_key]}; pass force=True to override"
+            f"{DEFAULT_CAPS[cap_key]}; pass force=True (--force) to override"
         )
 
 
@@ -440,5 +440,5 @@ def generate(q: CensusQuery) -> Iterator[PlaneMap]:
             outer_simple=True,
         )
     if s.irreducible:
-        fam = [m for m in fam if is_irreducible(m, s.inner_face_degree)]
+        fam = (m for m in fam if is_irreducible(m, s.inner_face_degree))
     yield from fam

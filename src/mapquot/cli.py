@@ -79,6 +79,7 @@ def cmd_enumerate(args) -> int:
         outer_degree=args.outer_degree,
         simple=args.simple,
         quasi_simple=args.quasi_simple,
+        irreducible=args.irreducible,
         pointed=args.pointed,
         symmetry_k=args.symmetric,
     )
@@ -187,6 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--simple", action="store_true")
     p.add_argument("--quasi-simple", action="store_true")
+    p.add_argument("--irreducible", action="store_true")
     p.add_argument("--pointed", action="store_true")
     p.add_argument("--symmetric", type=int, default=None, metavar="K")
     p.add_argument("--distance", type=int, default=None, metavar="I")

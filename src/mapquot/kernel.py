@@ -12,14 +12,20 @@ Family constraints (no loops, no multiple edges, outer contour simple) are
 pruned during the search: once two corners have been identified they stay
 identified, so an edge whose endpoints currently coincide is a loop in every
 completion, and two edges with the same endpoint pair now are parallel in
-every completion.
+every completion.  An unglued side becomes an edge between the classes of
+its two ends, so it too is a loop in every completion when its ends
+coincide, and parallel to a glued edge with the same end pair.  Two unglued
+sides with one end pair pass: they may still be glued to each other.
 
-Corner t is in vertex class label[t], and class r lists its corners in
-members[r]; a union relabels the smaller class.  Gluing d to b adds an edge
-between, and merges corners only into, the classes of d and b, so a new loop,
-multiple edge or pair of identified outer corners lies in label[d] or
-label[b].  The root state has no edges and distinct outer corners, and the
-search descends only from states that pass, so family_ok checks those two.
+Side t runs from corner t to corner phi_next[t].  Corner t is in vertex
+class label[t]; class r lists its corners in members[r] and keeps one of its
+outer corners, or -1, in outer[r].  A union relabels the smaller class.
+Gluing d to b adds an edge between, and merges corners only into, the
+classes of d and b, so a new loop, multiple edge or pair of identified outer
+corners lies in label[d] or label[b].  The root state has no edges and
+distinct outer corners, and the search descends only from states that pass,
+so glue refuses a union of two classes that both keep an outer corner and
+judges the glued edges and unglued sides at the corners of those two classes.
 
 With a rotation order k > 1 the search runs over orbits of sides under a
 rotation rho, and yields exactly the maps that rho turns.  rho shifts the
@@ -138,66 +144,77 @@ def run_census(
     partner = [-1] * total
     label = list(range(total))  # vertex class of each corner
     members = [[t] for t in range(total)]  # corners of each class
+    outer = [t if t < outer_deg else -1 for t in range(total)]  # an outer corner of each class
+    phi_prev = [0] * total
+    for t in range(total):
+        phi_prev[phi_next[t]] = t
     trail: list[tuple[int, int] | None] = []
     edges: list[int] = []  # flat pairs a0,b0,a1,b1,...
 
-    def union(x: int, y: int) -> None:
-        rx, ry = label[x], label[y]
-        if rx == ry:
-            trail.append(None)
-            return
-        if len(members[rx]) < len(members[ry]):
-            rx, ry = ry, rx
-        moved = members[ry]
-        for t in moved:
-            label[t] = rx
-        members[rx].extend(moved)
-        trail.append((rx, ry))
-
-    def undo_union() -> None:
-        merged = trail.pop()
-        if merged is not None:
-            rx, ry = merged
-            moved = members[ry]
-            del members[rx][-len(moved):]
-            for t in moved:
-                label[t] = ry
-
-    def family_ok(d: int, b: int) -> bool:
-        rd, rb = label[d], label[b]
-        for r in (rd,) if rd == rb else (rd, rb):
-            corners = members[r]
-            if require_outer_simple and label[:outer_deg].count(r) > 1:
-                return False
-            if require_simple:
-                nbrs = [label[partner[t]] for t in corners if partner[t] >= 0]
-                if r in nbrs or len(set(nbrs)) != len(nbrs):
-                    return False
-        return True
-
-    def glue(d: int, b: int) -> None:
+    def glue(d: int, b: int) -> bool:
+        """Glue d to b and merge the corners it identifies; False if the
+        state breaks the family in every completion.  unglue undoes it all."""
         partner[d] = b
         partner[b] = d
         edges.append(d)
         edges.append(b)
-        union(d, phi_next[b])
-        union(b, phi_next[d])
+        ok = True
+        for x, y in ((d, phi_next[b]), (b, phi_next[d])):
+            rx, ry = label[x], label[y]
+            if rx == ry:
+                trail.append(None)
+                continue
+            if len(members[rx]) < len(members[ry]):
+                rx, ry = ry, rx
+            if outer[ry] >= 0:
+                if outer[rx] < 0:
+                    outer[rx] = outer[ry]
+                elif require_outer_simple:
+                    ok = False
+            moved = members[ry]
+            for t in moved:
+                label[t] = rx
+            members[rx].extend(moved)
+            trail.append((rx, ry))
+        if not (ok and require_simple):
+            return ok
+        for r in {label[d], label[b]}:
+            corners = members[r]
+            ends = {r}  # r and its neighbours through glued edges
+            for t in corners:
+                if partner[t] >= 0:
+                    n = label[partner[t]]
+                    if n in ends:
+                        return False
+                    ends.add(n)
+            for t in corners:
+                s = phi_prev[t]
+                if partner[t] < 0 and label[phi_next[t]] in ends or partner[s] < 0 and label[s] in ends:
+                    return False
+        return True
 
     def unglue() -> None:
-        undo_union()
-        undo_union()
+        for _ in range(2):
+            merged = trail.pop()
+            if merged is not None:
+                rx, ry = merged
+                if outer[rx] == outer[ry]:  # rx took the outer corner of ry
+                    outer[rx] = -1
+                moved = members[ry]
+                del members[rx][-len(moved):]
+                for t in moved:
+                    label[t] = ry
         partner[edges.pop()] = -1
         partner[edges.pop()] = -1
 
     def glue_images(d: int, b: int, fresh: bool) -> bool:
         """Glue rho^j d - rho^j b for j = 1..k-1 after d-b.  False at the first
-        that would add a handle or fails family_ok, with what was glued left
-        on the trail."""
+        that would add a handle or that glue refuses, with what was glued
+        left on the trail."""
         for dj, bj in zip(images[d], images[b]):
             if not fresh and bj not in _boundary(dj, phi_next, partner):
                 return False
-            glue(dj, bj)
-            if not family_ok(dj, bj):
+            if not glue(dj, bj):
                 return False
         return True
 
@@ -218,15 +235,13 @@ def run_census(
             cands = [b for b in cands if b not in own]
         depth = len(edges)
         for b in cands:
-            glue(d, b)
-            if family_ok(d, b) and (k == 1 or glue_images(d, b, False)):
+            if glue(d, b) and (k == 1 or glue_images(d, b, False)):
                 rec(d + 1, opened)
             while len(edges) > depth:
                 unglue()
         if opened < n_blocks:
             b = opened_end
-            glue(d, b)
-            if family_ok(d, b) and (k == 1 or glue_images(d, b, True)):
+            if glue(d, b) and (k == 1 or glue_images(d, b, True)):
                 rec(d + 1, opened + k)
             while len(edges) > depth:
                 unglue()

@@ -1,9 +1,12 @@
 """Whole-state census kernel, kept as the oracle for mapquot.kernel.
 
-It runs the same search as the package kernel, but keeps vertex classes in a
-parent-pointer union-find and, after every gluing, rescans every glued edge
-and every outer corner.  tests/test_kernels.py requires both kernels to
-return the same sigma arrays in the same order.
+It tries the gluings in the same order as the package kernel, but keeps
+vertex classes in a parent-pointer union-find and, after every gluing,
+rescans every glued edge and every outer corner.  It prunes on glued edges
+only, not on the unglued sides the package kernel also judges, so it gives
+the same maps in the same order from more search nodes.
+tests/test_kernels.py requires both kernels to return the same sigma arrays
+in the same order.
 
 Enumerates rooted genus-0 maps with one face of degree ``outer_deg`` (the
 root face, on the left of dart 0) and ``n_inner`` faces of degree

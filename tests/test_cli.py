@@ -136,6 +136,29 @@ class TestEnumerateCommand:
         )
         assert code == 2
 
+    def test_cap_error_names_the_flag(self, capsys):
+        code = main([
+            "enumerate", "--inner-degree", "4", "--outer-degree", "4", "--size", "8", "--simple",
+        ])
+        captured = capsys.readouterr()
+        assert_usage_error(
+            code, captured.out, captured.err,
+            "quad_faces=8 exceeds the default cap 7; pass force=True (--force) to override",
+        )
+
+    def test_irreducible_hexagon_dissections(self, capsys):
+        counts = {}
+        for n in (2, 3, 4, 5):
+            code, out = run_cli(
+                capsys,
+                "enumerate",
+                "--inner-degree", "4", "--outer-degree", "6",
+                "--size", str(n), "--simple", "--irreducible", "--count-only",
+            )
+            assert code == 0
+            counts[n] = json.loads(out)["count"]
+        assert counts == {2: 3, 3: 2, 4: 3, 5: 6}
+
 
 QUAD, TRI = ["--inner-degree", "4"], ["--inner-degree", "3"]
 ENUMERATE_USAGE_ERRORS = {
@@ -157,6 +180,9 @@ ENUMERATE_USAGE_ERRORS = {
         *QUAD, "--outer-degree", "2", "--size", "2", "--pointed", "--symmetric", "2"],
     "pointed outer 8": [*QUAD, "--outer-degree", "8", "--size", "2", "--pointed"],
     "pointed triangular outer 3": [*TRI, "--outer-degree", "3", "--size", "1", "--pointed"],
+    "irreducible outer 4": [*QUAD, "--outer-degree", "4", "--size", "3", "--simple", "--irreducible"],
+    "irreducible symmetric": [
+        *QUAD, "--outer-degree", "6", "--size", "2", "--simple", "--irreducible", "--symmetric", "2"],
 }
 
 
