@@ -209,8 +209,7 @@ def marked_edge_count(maps) -> int:
 def two_point_quad_table(n: int, force: bool = False) -> dict[int, int]:
     """Sphere quadrangulations with n faces, a marked edge and a marked vertex,
     counted by the distance i >= 1 from the vertex to the closer edge end."""
-    table: dict[int, int] = {}
-    total = set()
+    table: dict[int, set[bytes]] = {}
     for m in rooted_sphere_quads(n, force):
         rootings = minimal_rootings(m, sphere=True)
         dist = [distances_from(m, v) for v in range(m.n_vertices)]
@@ -221,10 +220,7 @@ def two_point_quad_table(n: int, force: bool = False) -> dict[int, int]:
                 if i >= 1:
                     code = marked_code(m, rootings, pointed=v, marked_edge=e)
                     table.setdefault(i, set()).add(code)
-                    total.add(code)
-    out = {i: len(c) for i, c in table.items()}
-    out[0] = len(total)  # slot 0 carries the distance >= 1 total
-    return out
+    return {i: len(c) for i, c in table.items()}
 
 
 def _pointed_classes(

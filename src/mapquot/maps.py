@@ -290,6 +290,44 @@ def radial_distance(p: PointedMap) -> int:
 # -- cycles and enclosure ------------------------------------------------
 
 
+def _cycles(m: PlaneMap, usable: Sequence[bool], limit: int) -> list[tuple[int, ...]]:
+    """Vertex-simple cycles of at most `limit` darts (loops at any limit)
+    through usable darts, one per edge set, sorted by (len, c).
+
+    Each cycle starts at its least dart and uses no smaller one, and the
+    search never steps back along the edge it came in on.
+    """
+    vertex_of, vertices = m.vertex_of, m.vertices
+    found: dict[frozenset[int], tuple[int, ...]] = {}
+    for d0 in range(m.n_darts):
+        if not usable[d0]:
+            continue
+        v0, w0 = vertex_of[d0], vertex_of[d0 ^ 1]
+        if v0 == w0:
+            found.setdefault(frozenset((d0 >> 1,)), (d0,))
+        if v0 == w0 or limit < 2:
+            continue
+        path, on_path = [d0], {v0, w0}
+        stack = [iter(vertices[w0])]
+        while stack:
+            for d in stack[-1]:
+                if d < d0 or not usable[d] or d >> 1 == path[-1] >> 1:
+                    continue
+                w = vertex_of[d ^ 1]
+                if w == v0:
+                    cyc = (*path, d)
+                    found.setdefault(frozenset(x >> 1 for x in cyc), cyc)
+                elif w not in on_path and len(path) < limit - 1:
+                    path.append(d)
+                    on_path.add(w)
+                    stack.append(iter(vertices[w]))
+                    break
+            else:
+                stack.pop()
+                on_path.discard(vertex_of[path.pop() ^ 1])
+    return sorted(found.values(), key=lambda c: (len(c), c))
+
+
 def simple_cycles(m: PlaneMap, max_length: Optional[int] = None) -> list[tuple[int, ...]]:
     """All vertex-simple cycles, each as a dart tuple (one orientation each).
 
@@ -297,50 +335,8 @@ def simple_cycles(m: PlaneMap, max_length: Optional[int] = None) -> list[tuple[i
     two traversal directions of a cycle are identified; the representative
     starts at its smallest dart.
     """
-    n = m.n_darts
-    limit = max_length if max_length is not None else m.n_edges
-    found: dict[frozenset[int], tuple[int, ...]] = {}
-
-    # loops
-    for e in range(m.n_edges):
-        if m.is_loop_edge(e):
-            found[frozenset([e])] = (2 * e,)
-
-    def extend(path: list[int], visited: set[int], start_v: int):
-        last = path[-1]
-        v = m.vertex_of[last ^ 1]
-        for d in m.vertices[v]:
-            e = d >> 1
-            if e == last >> 1:
-                continue
-            w = m.vertex_of[d ^ 1]
-            if w == start_v and len(path) + 1 >= 2:
-                cyc = tuple(path) + (d,)
-                key = frozenset(x >> 1 for x in cyc)
-                if len(key) == len(cyc) and key not in found:
-                    found[key] = cyc
-                continue
-            if w == v:
-                continue  # loop edge, not part of longer simple cycles here
-            if w in visited or w == start_v:
-                continue
-            if len(path) + 1 >= limit:
-                continue
-            visited.add(w)
-            path.append(d)
-            extend(path, visited, start_v)
-            path.pop()
-            visited.remove(w)
-
-    if limit >= 2:
-        for d0 in range(n):
-            v0 = m.vertex_of[d0]
-            w0 = m.vertex_of[d0 ^ 1]
-            if w0 == v0:
-                continue
-            extend([d0], {v0, w0}, v0)
-
-    return sorted(found.values(), key=lambda c: (len(c), c))
+    limit = m.n_edges if max_length is None else max_length
+    return _cycles(m, [True] * m.n_darts, limit)
 
 
 def cycle_interior(m: PlaneMap, cycle_darts: Sequence[int]) -> tuple[frozenset[int], frozenset[int]]:
@@ -379,16 +375,10 @@ def cycle_interior(m: PlaneMap, cycle_darts: Sequence[int]) -> tuple[frozenset[i
 def enclosing_girth(p: PointedMap) -> int:
     """Length of the shortest cycle strictly enclosing the pointed vertex."""
     m = p.base
-    best = None
     for cyc in simple_cycles(m):
-        if best is not None and len(cyc) >= best:
-            break
-        _, inside = cycle_interior(m, cyc)
-        if p.pointed_vertex in inside:
-            best = len(cyc)
-    if best is None:
-        raise MapError("no cycle encloses the pointed vertex")
-    return best
+        if p.pointed_vertex in cycle_interior(m, cyc)[1]:
+            return len(cyc)
+    raise MapError("no cycle encloses the pointed vertex")
 
 
 # -- family predicates ---------------------------------------------------
@@ -458,11 +448,10 @@ def _bfs_code(m: PlaneMap, root: int) -> tuple[bytes, list[int]]:
     return bytes(out), label
 
 
-def _marks(m: PlaneMap, label, pointed, marked_edge, marked_face) -> bytes:
+def _marks(m: PlaneMap, label, pointed, marked_edge) -> bytes:
     values = (
         None if pointed is None else min(label[d] for d in m.vertices[pointed]),
         None if marked_edge is None else min(label[2 * marked_edge], label[2 * marked_edge + 1]),
-        None if marked_face is None else min(label[d] for d in m.faces[marked_face]),
     )
     return b"\xfe" + b"".join(b"\xff\xff" if v is None else v.to_bytes(2, "little") for v in values)
 
@@ -472,7 +461,6 @@ def canonical_code(
     root: Optional[int] = None,
     pointed: Optional[int] = None,
     marked_edge: Optional[int] = None,
-    marked_face: Optional[int] = None,
 ) -> bytes:
     """Breadth-first code of the rooted map, optionally with marks.
 
@@ -480,7 +468,7 @@ def canonical_code(
     root-preserving dart bijection; marks are appended canonically.
     """
     code, label = _bfs_code(m, m.root_dart if root is None else root)
-    return code + _marks(m, label, pointed, marked_edge, marked_face)
+    return code + _marks(m, label, pointed, marked_edge)
 
 
 def minimal_rootings(m: PlaneMap, sphere: bool = False) -> tuple[bytes, list[list[int]]]:
@@ -504,17 +492,14 @@ def marked_code(
     """unrooted_code from minimal_rootings(m).  Bare codes all have one length,
     so the least code is the least bare code plus the least marks of its roots."""
     bare, labels = rootings
-    return bare + min(_marks(m, label, pointed, marked_edge, None) for label in labels)
+    return bare + min(_marks(m, label, pointed, marked_edge) for label in labels)
 
 
 def unrooted_code(
-    m: PlaneMap,
-    pointed: Optional[int] = None,
-    marked_edge: Optional[int] = None,
-    sphere: bool = False,
+    m: PlaneMap, pointed: Optional[int] = None, marked_edge: Optional[int] = None
 ) -> bytes:
-    """Minimum code over admissible re-rootings (see minimal_rootings)."""
-    return marked_code(m, minimal_rootings(m, sphere), pointed, marked_edge)
+    """Minimum code over re-rootings along the outer contour."""
+    return marked_code(m, minimal_rootings(m), pointed, marked_edge)
 
 
 def automorphism_from(

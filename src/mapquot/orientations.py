@@ -16,6 +16,7 @@ from mapquot.maps import (
     MapError,
     PlaneMap,
     SymmetricMap,
+    _cycles,
     _orbits,
     cycle_interior,
 )
@@ -198,36 +199,7 @@ def directed_simple_cycles(o: Orientation) -> list[tuple[int, ...]]:
     """All vertex-simple directed cycles, as dart tuples starting at their
     smallest dart."""
     m = o.base
-    cycles = []
-
-    def extend(path: list[int], visited: set[int], start_v: int, start_d: int):
-        v = m.vertex_of[path[-1] ^ 1]
-        for dart in m.vertices[v]:
-            if not o.is_outgoing(dart) or dart < start_d:
-                continue
-            w = m.vertex_of[dart ^ 1]
-            if w == start_v:
-                cycles.append(tuple(path) + (dart,))
-                continue
-            if w in visited:
-                continue
-            visited.add(w)
-            path.append(dart)
-            extend(path, visited, start_v, start_d)
-            path.pop()
-            visited.remove(w)
-
-    for d0 in range(m.n_darts):
-        if not o.is_outgoing(d0):
-            continue
-        v0 = m.vertex_of[d0]
-        w0 = m.vertex_of[d0 ^ 1]
-        if w0 == v0:
-            cycles.append((d0,))
-            continue
-        extend([d0], {v0, w0}, v0, d0)
-
-    return sorted(cycles, key=lambda c: (len(c), c))
+    return _cycles(m, [o.is_outgoing(d) for d in range(m.n_darts)], m.n_edges)
 
 
 def is_ccw(m: PlaneMap, cycle: Sequence[int]) -> bool:

@@ -82,7 +82,7 @@ class TruncSeries:
 
     @staticmethod
     def x(order: int) -> "TruncSeries":
-        return TruncSeries([0, 1] + [0] * (order - 1))
+        return TruncSeries([int(i == 1) for i in range(order + 1)])
 
     # -- ring operations ------------------------------------------------
 

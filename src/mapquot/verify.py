@@ -381,7 +381,7 @@ def check_positivity(small: bool = False) -> tuple[bool, str]:
         table = census.two_point_quad_table(n)
         beyond = range(2 * n + 1, 2 * n + 3)
         checks += [
-            (f"telescoped total[{n}] = census", total[n] == table[0]),
+            (f"telescoped total[{n}] = census", total[n] == sum(table.values())),
             # coefficients vanish beyond the maximal distance
             (f"two_point[quad, i>{2 * n}][{n}] = 0",
              all(S.two_point("quad", i, nmax)[n] == 0 for i in beyond)),

@@ -4,7 +4,18 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from mapquot import census
 from mapquot.maps import MapError, NotAPermutation, PlaneMap, PointedMap
+
+# Census families small enough to check against a brute-force oracle:
+# (name, family, sphere, whether some map has several minimal roots).
+FAMILIES = [
+    ("plane quadrangulations", lambda: census.rooted_quadrangulations(4, simple=False), False, True),
+    ("quadrangular 2-dissections", lambda: census.rooted_quad_2_dissections(3), False, False),
+    ("triangular 1-dissections", lambda: census.rooted_tri_1_dissections(3), False, False),
+    ("sphere quadrangulations", lambda: census.rooted_sphere_quads(3), True, True),
+    ("sphere triangulations", lambda: census.rooted_sphere_tris(4), True, True),
+]
 
 
 def from_face_lists(faces: Sequence[Sequence[int]], outer: int = 0) -> PlaneMap:

@@ -9,9 +9,12 @@ from mapquot.maps import (
     PlaneMap,
     PointedMap,
     canonical_code,
+    distances_from,
     is_irreducible,
     is_quasi_simple,
     is_simple,
+    marked_code,
+    minimal_rootings,
     radial_distance,
 )
 
@@ -112,9 +115,21 @@ class TestTwoPoint:
         assert table.get(2 * n + 1, 0) == 0
 
     def test_cross_footing(self):
+        # each (map, vertex, edge) class has one distance, so the buckets
+        # partition the classes at distance >= 1
         for n in (2, 3):
-            table = census.two_point_quad_table(n)
-            assert table[0] == sum(v for k, v in table.items() if k >= 1)
+            classes = set()
+            for m in census.rooted_sphere_quads(n):
+                rootings = minimal_rootings(m, sphere=True)
+                dist = [distances_from(m, v) for v in range(m.n_vertices)]
+                for e in range(m.n_edges):
+                    a, b = m.edge_endpoints(e)
+                    classes |= {
+                        marked_code(m, rootings, pointed=v, marked_edge=e)
+                        for v in range(m.n_vertices)
+                        if min(dist[v][a], dist[v][b]) >= 1
+                    }
+            assert len(classes) == sum(census.two_point_quad_table(n).values())
 
     def test_contraction_matches_pointed_dissections(self):
         # contracting the outer 2-gon is a bijection onto marked sphere maps

@@ -25,7 +25,9 @@ from mapquot.maps import (
     unrooted_code,
 )
 
+import cycle_oracle
 from fixtures import (
+    FAMILIES,
     cube,
     face_degrees,
     hexagon_wheel,
@@ -165,6 +167,15 @@ class TestPredicates:
         faces, inside = cycle_interior(m, cyc)
         assert faces == frozenset({1 - m.outer_face})
         assert inside == frozenset()
+
+    @pytest.mark.parametrize("family", [f[1] for f in FAMILIES], ids=[f[0] for f in FAMILIES])
+    def test_simple_cycles_match_oracle(self, family):
+        fam = family()
+        assert fam
+        assert not all(is_simple(m) for m in fam), "no loop or multiple edge to cover"
+        for m in fam:
+            for limit in (None, 1, 2, 3, 4):
+                assert simple_cycles(m, limit) == cycle_oracle.simple_cycles(m, limit)
 
 
 def random_dart_relabeling(rng, n_darts):

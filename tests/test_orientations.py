@@ -17,6 +17,7 @@ from mapquot.orientations import (
     overloaded_vertices,
 )
 
+import cycle_oracle
 from fixtures import cube, square_map, tetrahedron
 from orientation_oracle import has_d_orientation
 
@@ -24,9 +25,9 @@ from orientation_oracle import has_d_orientation
 ORIENTATION_FAMILIES = [(4, 2, n) for n in range(2, 8)] + [(3, 3, n) for n in (2, 4, 6, 8, 10)]
 
 
-def rooted_family(deg, n):
+def rooted_family(deg, n, simple=False):
     rooted = census.rooted_quadrangulations if deg == 4 else census.rooted_triangulations
-    return rooted(n, simple=False)
+    return rooted(n, simple=simple)
 
 
 def first_short_cycle(m):
@@ -143,6 +144,30 @@ class TestMinimize:
             minimal = minimize(o)
             for cyc in directed_simple_cycles(o)[:3]:
                 assert minimize(o.reversed_cycle(cyc)).along == minimal.along
+
+    def test_directed_cycles_match_oracle(self):
+        # the oracle's undirected cycles that o orients, walked the way o
+        # points and started at their least dart
+        orientations = cycles = 0
+        for deg, d, n in ORIENTATION_FAMILIES:
+            for m in rooted_family(deg, n, simple=True):
+                walks = [
+                    w
+                    for c in cycle_oracle.simple_cycles(m)
+                    for w in (c, tuple(x ^ 1 for x in reversed(c)))
+                ]
+                for o in (find_d_orientation(m, d), minimal_d_orientation(m, d)):
+                    expect = [
+                        w[w.index(min(w)):] + w[: w.index(min(w))]
+                        for w in walks
+                        if all(o.is_outgoing(x) for x in w)
+                    ]
+                    got = directed_simple_cycles(o)
+                    assert got == sorted(expect, key=lambda c: (len(c), c))
+                    orientations += 1
+                    cycles += len(got)
+        # orientable maps are simple, so there is no loop or multiple edge to see
+        assert orientations and cycles
 
 
 class TestLeftmostPaths:

@@ -41,6 +41,25 @@ class TestArithmetic:
         with pytest.raises(DivisorNotUnit):
             TruncSeries([1, 1, 1]).divide(TruncSeries.x(2))
 
+    def test_x_at_order_zero(self):
+        x = TruncSeries.x(0)
+        assert x.order == 0
+        assert x + 1 == TruncSeries.const(1, 0)
+        assert ints(TruncSeries.x(2)) == [0, 1, 0]
+
+    def test_low_orders_truncate_order_five(self):
+        series = {name: lambda k, name=name: S.named(name, k) for name in S._BUILDERS}
+        series.update(
+            {(fam, i): lambda k, fam=fam, i=i: S.two_point(fam, i, k)
+             for fam in S.TWO_POINT_FAMILIES for i in (1, 2, 3)}
+        )
+        for make in series.values():
+            full = make(5)
+            for k in (0, 1, 2):
+                low = make(k)
+                assert low.order == k
+                assert low == full.truncate(k)
+
     def test_compose_identity(self):
         s = S.named("q", 8)
         x = TruncSeries.x(8)

@@ -25,7 +25,7 @@ class TestQuadAgainstCensus:
         diff = S.two_point_level("quad", big + 1, nmax) - S.two_point_level("quad", 1, nmax)
         assert (total - diff).is_zero()
         for n in range(1, nmax + 1):
-            assert total[n] == census.two_point_quad_table(n)[0]
+            assert total[n] == sum(census.two_point_quad_table(n).values())
 
 
 class TestTriAgainstCensus:
