@@ -229,8 +229,14 @@ def _pointed_classes(
     distance: Optional[int],
     quasi_simple: bool,
     force: bool,
-) -> Iterator[PointedMap]:
-    """The first pointed map of each unrooted pointed class, in family order."""
+) -> Iterator[tuple[PlaneMap, int, int]]:
+    """The first pointed map of each unrooted pointed class, in family order,
+    as (map, pointed vertex, radial distance).
+
+    A map whose unrooted class an earlier map already had holds no new
+    pointed class, so it is skipped whole, and the marked codes of a map are
+    told apart within it alone (bare codes differ between classes).  One
+    breadth-first search from the outer vertices gives every distance."""
     if inner_deg == 4:
         fam = rooted_quad_2_dissections(n_inner, force)
     elif inner_deg == 3:
@@ -240,16 +246,21 @@ def _pointed_classes(
     seen = set()
     for m in fam:
         rootings = minimal_rootings(m)
+        bare = rootings[0]
+        if bare in seen:
+            continue
+        seen.add(bare)
+        dist = distances_from(m, *m.outer_vertices())
+        codes = set()
         for v in m.inner_vertices():
-            p = PointedMap(m, v)
-            if distance is not None and radial_distance(p) != distance:
+            if distance is not None and dist[v] != distance:
                 continue
-            if quasi_simple and not is_quasi_simple(p):
+            if quasi_simple and not is_quasi_simple(PointedMap(m, v)):
                 continue
             code = marked_code(m, rootings, pointed=v)
-            if code not in seen:
-                seen.add(code)
-                yield p
+            if code not in codes:
+                codes.add(code)
+                yield m, v, dist[v]
 
 
 def pointed_dissection_classes(
@@ -261,7 +272,10 @@ def pointed_dissection_classes(
 ) -> list[PointedMap]:
     """Pointed quadrangular 2-dissections (inner_deg=4) or triangular
     1-dissections (inner_deg=3), one per unrooted pointed class."""
-    return list(_pointed_classes(inner_deg, n_inner, distance, quasi_simple, force))
+    return [
+        PointedMap(m, v)
+        for m, v, _ in _pointed_classes(inner_deg, n_inner, distance, quasi_simple, force)
+    ]
 
 
 def count_pointed_dissections(
@@ -273,6 +287,15 @@ def count_pointed_dissections(
 ) -> int:
     """The number of pointed_dissection_classes, keeping no map past its count."""
     return sum(1 for _ in _pointed_classes(inner_deg, n_inner, distance, quasi_simple, force))
+
+
+def pointed_distance_table(inner_deg: int, n_inner: int, force: bool = False) -> dict[int, int]:
+    """count_pointed_dissections at every distance i >= 1, in one pass over
+    the family: {i: count}, without the distances that have no class."""
+    table: dict[int, int] = {}
+    for _, _, i in _pointed_classes(inner_deg, n_inner, None, False, force):
+        table[i] = table.get(i, 0) + 1
+    return table
 
 
 # -- symmetric families ------------------------------------------------------
@@ -419,8 +442,10 @@ def generate(q: CensusQuery) -> Iterator[PlaneMap]:
             yield sm.plane_map
         return
     if s.pointed:
-        for p in _pointed_classes(s.inner_face_degree, q.size, q.distance, s.quasi_simple, q.force):
-            yield p.base
+        for m, _, _ in _pointed_classes(
+            s.inner_face_degree, q.size, q.distance, s.quasi_simple, q.force
+        ):
+            yield m
         return
     if s.inner_face_degree == 4 and s.outer_degree == 4:
         fam = rooted_quadrangulations(q.size, simple=s.simple, force=q.force)

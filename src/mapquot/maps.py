@@ -267,11 +267,13 @@ class DissectionSpec:
 # -- metrics -------------------------------------------------------------
 
 
-def distances_from(m: PlaneMap, vertex: int) -> list[int]:
-    """Breadth-first graph distances from `vertex` (unreachable = -1)."""
+def distances_from(m: PlaneMap, *sources: int) -> list[int]:
+    """Breadth-first graph distances from the nearest of `sources`
+    (unreachable = -1)."""
     dist = [-1] * m.n_vertices
-    dist[vertex] = 0
-    queue = deque([vertex])
+    for v in sources:
+        dist[v] = 0
+    queue = deque(sources)
     while queue:
         v = queue.popleft()
         for w in m.neighbors(v):
@@ -283,27 +285,29 @@ def distances_from(m: PlaneMap, vertex: int) -> list[int]:
 
 def radial_distance(p: PointedMap) -> int:
     """Distance between the pointed vertex and the outer face boundary."""
-    dist = distances_from(p.base, p.pointed_vertex)
-    return min(dist[v] for v in p.base.outer_vertices())
+    return distances_from(p.base, *p.base.outer_vertices())[p.pointed_vertex]
 
 
 # -- cycles and enclosure ------------------------------------------------
 
 
 def _cycles(m: PlaneMap, usable: Sequence[bool], limit: int) -> list[tuple[int, ...]]:
-    """Vertex-simple cycles of at most `limit` darts (loops at any limit)
-    through usable darts, one per edge set, sorted by (len, c).
+    """Vertex-simple cycles of at most `limit` darts through usable darts,
+    one per edge set, sorted by (len, c).
 
     Each cycle starts at its least dart and uses no smaller one, and the
-    search never steps back along the edge it came in on.
+    search never steps back along the edge it came in on.  `usable` must be
+    closed under reversal or hold at most one dart per edge: then a cycle
+    from an odd dart 2e + 1 whose partner 2e is usable is the reversal of one
+    already found from 2e, so such starts are skipped.
     """
     vertex_of, vertices = m.vertex_of, m.vertices
     found: dict[frozenset[int], tuple[int, ...]] = {}
     for d0 in range(m.n_darts):
-        if not usable[d0]:
+        if not usable[d0] or (d0 & 1 and usable[d0 ^ 1]):
             continue
         v0, w0 = vertex_of[d0], vertex_of[d0 ^ 1]
-        if v0 == w0:
+        if v0 == w0 and limit >= 1:
             found.setdefault(frozenset((d0 >> 1,)), (d0,))
         if v0 == w0 or limit < 2:
             continue

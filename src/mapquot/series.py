@@ -1,5 +1,5 @@
-"""Truncated formal power series with exact rational coefficients, and the
-catalogue of counting series for planar dissections.
+"""Truncated formal power series with exact coefficients (ints where integral,
+Fractions otherwise), and the catalogue of counting series for planar dissections.
 
 Each algebraic series is defined by the residual of its equation alone and
 solved from it by one solver, Newton iteration with doubling precision, which
@@ -49,13 +49,34 @@ class BadDistance(SeriesError):
     pass
 
 
+def _exact(c) -> int | Fraction:
+    """c as an int when it is integral, and as a Fraction otherwise."""
+    if type(c) is not int:
+        c = Fraction(c)
+        if c.denominator == 1:
+            return c.numerator
+    return c
+
+
+def _div(a, b) -> int | Fraction:
+    """The exact quotient a / b: a // b when b divides a, else a Fraction."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
+    return _exact(Fraction(a, b))
+
+
 class TruncSeries:
-    """Power series truncated at an explicit order, exact Fraction coefficients."""
+    """Power series truncated at an explicit order, with exact coefficients:
+    each is stored as an int when it is integral and as a Fraction only when
+    it is not, so integral series are multiplied without a gcd per term.
+    Indexing returns a Fraction, so ts[n] / c stays exact."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Sequence):
-        self.coeffs = tuple(Fraction(c) for c in coeffs)
+        self.coeffs = tuple(map(_exact, coeffs))
         if not self.coeffs:
             raise SeriesError("empty coefficient list")
 
@@ -68,7 +89,7 @@ class TruncSeries:
             return Fraction(0)
         if n > self.order:
             raise OrderMismatch(f"coefficient {n} beyond truncation order {self.order}")
-        return self.coeffs[n]
+        return Fraction(self.coeffs[n])
 
     # -- constructors --------------------------------------------------
 
@@ -109,10 +130,11 @@ class TruncSeries:
 
     def __mul__(self, other):
         if not isinstance(other, TruncSeries):
-            return TruncSeries([c * Fraction(other) for c in self.coeffs])
+            k = _exact(other)
+            return TruncSeries([c * k for c in self.coeffs])
         n = min(self.order, other.order)
         a, b = self.coeffs, other.coeffs
-        out = [Fraction(0)] * (n + 1)
+        out = [0] * (n + 1)
         for i in range(min(len(a) - 1, n) + 1):
             if a[i] == 0:
                 continue
@@ -126,8 +148,8 @@ class TruncSeries:
 
     def __truediv__(self, other):
         if not isinstance(other, TruncSeries):
-            inv = 1 / Fraction(other)
-            return TruncSeries([c * inv for c in self.coeffs])
+            k = _exact(other)
+            return TruncSeries([_div(c, k) for c in self.coeffs])
         return self.divide(other)
 
     def __rtruediv__(self, other):
@@ -174,7 +196,7 @@ class TruncSeries:
     def shift(self, k: int) -> "TruncSeries":
         """Multiply by x**k; negative k requires valuation >= -k (exact division)."""
         if k >= 0:
-            return TruncSeries(((Fraction(0),) * k + self.coeffs)[: self.order + 1])
+            return TruncSeries(((0,) * k + self.coeffs)[: self.order + 1])
         if any(self.coeffs[i] != 0 for i in range(min(-k, len(self.coeffs)))):
             raise DivisorNotUnit(f"valuation below {-k}, cannot shift down")
         return TruncSeries(self.coeffs[-k:])
@@ -186,9 +208,7 @@ class TruncSeries:
 
     def integrate(self) -> "TruncSeries":
         """Antiderivative with zero constant term, one order higher."""
-        return TruncSeries(
-            [Fraction(0)] + [self.coeffs[i] / (i + 1) for i in range(self.order + 1)]
-        )
+        return TruncSeries([0] + [_div(c, i + 1) for i, c in enumerate(self.coeffs)])
 
     def divide(self, other: "TruncSeries") -> "TruncSeries":
         """Exact division; the divisor must be a unit after cancelling the
@@ -201,14 +221,14 @@ class TruncSeries:
             return self.shift(-v).divide(other.shift(-v))
         a = self.coeffs
         b = other.coeffs
-        inv0 = 1 / b[0]
-        out = [Fraction(0)] * (n + 1)
+        b0 = b[0]
+        out = [0] * (n + 1)
         for i in range(n + 1):
-            acc = a[i] if i < len(a) else Fraction(0)
+            acc = a[i] if i < len(a) else 0
             for j in range(1, i + 1):
                 if j < len(b) and b[j]:
                     acc -= b[j] * out[i - j]
-            out[i] = acc * inv0
+            out[i] = _div(acc, b0)
         return TruncSeries(out)
 
     def compose(self, inner: "TruncSeries") -> "TruncSeries":
@@ -227,13 +247,13 @@ class TruncSeries:
         if self.coeffs[0] != 1:
             raise BadConstantTerm("sqrt requires constant term 1")
         n = self.order
-        out = [Fraction(0)] * (n + 1)
-        out[0] = Fraction(1)
+        out = [0] * (n + 1)
+        out[0] = 1
         for i in range(1, n + 1):
             acc = self.coeffs[i]
             for j in range(1, i):
                 acc -= out[j] * out[i - j]
-            out[i] = acc / 2
+            out[i] = _div(acc, 2)
         return TruncSeries(out)
 
     def integer_coefficients(self) -> list[int]:
@@ -248,7 +268,7 @@ class TruncSeries:
 
 def _pad(s: TruncSeries, order: int) -> TruncSeries:
     """s with zero coefficients appended up to `order`."""
-    return TruncSeries(s.coeffs + (Fraction(0),) * (order - s.order))
+    return TruncSeries(s.coeffs + (0,) * (order - s.order))
 
 
 def fixpoint_solve(
@@ -635,10 +655,10 @@ def _tri_level(family: str, i: int, order: int) -> tuple[TruncSeries, TruncSerie
         Xi = TruncSeries.zero(order)
     else:
         Xi = Xinf * _ratio_kernel(X, i, i + 2).divide((1 - X ** (i + 1)) ** 2)
-    correction = ((w + 1) / 4) * (X**i) * _ratio_kernel(X, 1, 2).divide(
-        _ratio_kernel(X, i + 1, i + 2)
-    )
-    Ai2 = Ainf2 * (1 - correction) ** 2
+    # four times the correction c in A_i^2 = A_inf^2 (1 - c)^2, so that the
+    # product stays integral until the one division by 16
+    c4 = (w + 1) * (X**i) * _ratio_kernel(X, 1, 2).divide(_ratio_kernel(X, i + 1, i + 2))
+    Ai2 = Ainf2 * (4 - c4) ** 2 / 16
     return Xi, Ai2
 
 

@@ -297,13 +297,14 @@ def check_two_point_census(small: bool = False) -> tuple[bool, str]:
             return False, f"empty two-point quadrangulation table at size {n}"
         checks += [(f"two_point[quad, i={i}][{n}] = census", F[i][n] == table.get(i, 0))
                    for i in F]
-    imax = 2
     ntri = 3 if small else 4
-    for i in range(1, imax + 1):
-        F = S.two_point("tri", i, ntri)
-        checks += [(f"two_point[tri, i={i}][{n}] = census",
-                    F[n] == census.count_pointed_dissections(3, 2 * n + 1, distance=i))
-                   for n in range(0, ntri + 1)]
+    F = {i: S.two_point("tri", i, ntri) for i in (1, 2)}
+    for n in range(0, ntri + 1):
+        table = census.pointed_distance_table(3, 2 * n + 1)
+        if not table:
+            return False, f"no pointed triangular 1-dissections with {2 * n + 1} inner faces"
+        checks += [(f"two_point[tri, i={i}][{n}] = census", F[i][n] == table.get(i, 0))
+                   for i in F]
     for i in (1, 2):
         G = S.two_point("quad_simple", i, 3)
         checks += [(f"two_point[quad_simple, i={i}][{n}] = census",

@@ -17,8 +17,8 @@ def simple_cycles(m: PlaneMap, max_length: Optional[int] = None) -> list[tuple[i
     limit = max_length if max_length is not None else m.n_edges
     found: dict[frozenset[int], tuple[int, ...]] = {}
 
-    # loops
-    for e in range(m.n_edges):
+    # loops, cycles of length 1
+    for e in range(m.n_edges if limit >= 1 else 0):
         if m.is_loop_edge(e):
             found[frozenset([e])] = (2 * e,)
 

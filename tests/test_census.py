@@ -16,6 +16,7 @@ from mapquot.maps import (
     marked_code,
     minimal_rootings,
     radial_distance,
+    unrooted_code,
 )
 
 # frozen counts; the golden q/t values also appear in the acceptance suite
@@ -137,6 +138,42 @@ class TestTwoPoint:
             table = census.two_point_quad_table(n)
             for i in (1, 2, 3):
                 assert table.get(i, 0) == census.count_pointed_dissections(4, n, distance=i)
+
+
+def oracle_pointed_classes(inner_deg, n_inner):
+    """The first pointed map of each unrooted pointed class, in family order,
+    and its distance from one search from the pointed vertex: every inner
+    vertex of every map of the family is coded, and no map is skipped."""
+    fam = (census.rooted_tri_1_dissections if inner_deg == 3 else census.rooted_quad_2_dissections)(
+        n_inner
+    )
+    seen, out = set(), []
+    for m in fam:
+        for v in m.inner_vertices():
+            code = unrooted_code(m, pointed=v)
+            if code not in seen:
+                seen.add(code)
+                dist = distances_from(m, v)
+                out.append((PointedMap(m, v), min(dist[w] for w in m.outer_vertices())))
+    return out
+
+
+class TestPointed:
+    # triangular 1-dissections exist for odd inner face counts only
+    @pytest.mark.parametrize(
+        "inner_deg,n_inner", [(3, n) for n in (1, 3, 5, 7, 9)] + [(4, n) for n in (1, 2, 3, 4)]
+    )
+    def test_distance_table_matches_oracle(self, inner_deg, n_inner):
+        classes = oracle_pointed_classes(inner_deg, n_inner)
+        assert classes
+        table = census.pointed_distance_table(inner_deg, n_inner)
+        expect = {}
+        for _, i in classes:
+            expect[i] = expect.get(i, 0) + 1
+        assert table == expect
+        for i in range(1, max(table) + 2):
+            assert census.count_pointed_dissections(inner_deg, n_inner, distance=i) == table.get(i, 0)
+        assert census.pointed_dissection_classes(inner_deg, n_inner) == [p for p, _ in classes]
 
 
 class TestSymmetric:

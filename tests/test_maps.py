@@ -174,7 +174,7 @@ class TestPredicates:
         assert fam
         assert not all(is_simple(m) for m in fam), "no loop or multiple edge to cover"
         for m in fam:
-            for limit in (None, 1, 2, 3, 4):
+            for limit in (None, 0, 1, 2, 3, 4):
                 assert simple_cycles(m, limit) == cycle_oracle.simple_cycles(m, limit)
 
 

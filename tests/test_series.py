@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,77 @@ GOLDEN_T = [0, 1, 1, 3, 13, 68, 399, 2530, 16965]
 
 def ints(ts):
     return [int(c) for c in ts.coeffs]
+
+
+def pinned_series():
+    """Every catalogue series, every two-point family at i = 1-3 and the
+    direct form of d3_tri, each as a function of the order."""
+    out = {name: lambda k, name=name: S.named(name, k) for name in S._BUILDERS}
+    out.update(
+        {f"{fam}:{i}": lambda k, fam=fam, i=i: S.two_point(fam, i, k)
+         for fam in S.TWO_POINT_FAMILIES for i in (1, 2, 3)}
+    )
+    out["d3_closed_form"] = S.d3_closed_form
+    return out
+
+
+DIGEST_ORDERS = (0, 1, 5, 17, 30)
+# sha256, first 16 hex digits, of the coefficients at each order in
+# DIGEST_ORDERS: one line per order, coefficients as str(ts[n]) joined by
+# commas.  Recorded while every coefficient was still a Fraction.
+SERIES_DIGESTS = {
+    "P_quad": "6f5067c5133b748d",
+    "P_tri": "5c83ddafb7851ea8",
+    "Q_quad": "dac2d11e97f0c587",
+    "Q_tri": "efa5bfeb58a79a19",
+    "Qt_tri": "9a6b0638433e325e",
+    "R_quad": "f948946d4ce8e269",
+    "R_tri": "e9599ae5b2b882c5",
+    "Rt_tri": "8a0a8c246749eb66",
+    "X_quad": "462c76ecbbb665ee",
+    "X_tri": "03e7aa29f321f275",
+    "Y_quad": "ef273624fb8ca264",
+    "Y_tri": "5f34ad53cd81c75a",
+    "Z_quad": "ef09077f3717cd8b",
+    "Z_tri": "ef273624fb8ca264",
+    "a_edge": "a4fd53c9218f786f",
+    "a_vertex": "20e04db63020acda",
+    "alpha_quaternary": "7e2f12c5271a99cd",
+    "alpha_ternary": "dac2d11e97f0c587",
+    "d3_tri": "7d5a448bcc5957d4",
+    "d_quad": "f1afb796c43581c5",
+    "f_quad": "89bfa247b7b1abc4",
+    "f_tri": "5754b73316ef9278",
+    "g_quad": "41abc52502f2faf9",
+    "g_tri": "1f80f5ba6d330543",
+    "q": "5fb7bd8e0764c1a0",
+    "s_tri": "7d5a448bcc5957d4",
+    "t": "1f80f5ba6d330543",
+    "t_edge": "96dcdf667d47bb11",
+    "t_rootedge": "9b37bc8412d83c5a",
+    "t_vertex": "7d5a448bcc5957d4",
+    "u_tri": "a3a8a53dbd2b8f61",
+    "v_tri": "bf42af4887000e26",
+    "quad:1": "b02076cd401f7ada",
+    "quad:2": "ea19f840022e0e84",
+    "quad:3": "433fe64dae44c4a0",
+    "quad_simple:1": "41abc52502f2faf9",
+    "quad_simple:2": "e05f97a878848e8a",
+    "quad_simple:3": "6126ab542acd8ed2",
+    "quad_irred:1": "2da1f16055cc0128",
+    "quad_irred:2": "083e3ed7f560c70e",
+    "quad_irred:3": "f216051ec0ab26c7",
+    "tri:1": "e7edb61bd0f693ca",
+    "tri:2": "fcecbf8abf105177",
+    "tri:3": "394d845d355c6401",
+    "tri_simple:1": "347581f15f8a07b2",
+    "tri_simple:2": "1a901e00d168d5e8",
+    "tri_simple:3": "94e86c85ef124811",
+    "tri_irred:1": "f7840956e04829f7",
+    "tri_irred:2": "41abc52502f2faf9",
+    "tri_irred:3": "e05f97a878848e8a",
+    "d3_closed_form": "7d5a448bcc5957d4",
+}
 
 
 class TestArithmetic:
@@ -103,6 +175,41 @@ class TestArithmetic:
         assert (A + B) * C == A * C + B * C
         assert A * (B * C) == (A * B) * C
         assert A * B == B * A
+
+
+class TestExactCoefficients:
+    def test_digests_unchanged(self):
+        got = {}
+        for key, make in pinned_series().items():
+            text = "\n".join(
+                ",".join(str(make(k)[n]) for n in range(k + 1)) for k in DIGEST_ORDERS
+            )
+            got[key] = hashlib.sha256(text.encode()).hexdigest()[:16]
+        assert got == SERIES_DIGESTS
+
+    def test_integral_coefficients_are_stored_as_ints(self):
+        for key, make in pinned_series().items():
+            for k in DIGEST_ORDERS:
+                assert all(type(c) is int for c in make(k).coeffs), (key, k)
+        # each operation keeps integral results as ints and the rest exact
+        s = TruncSeries([Fraction(4, 2), Fraction(1, 2), 3])
+        assert s.coeffs == (2, Fraction(1, 2), 3)
+        assert [type(c) for c in s.coeffs] == [int, Fraction, int]
+        assert [type(c) for c in (s * 2).coeffs] == [int, int, int]
+        assert (s / 3).coeffs == (Fraction(2, 3), Fraction(1, 6), 1)
+        assert [type(c) for c in (s / Fraction(1, 2)).coeffs] == [int, int, int]
+        halves = TruncSeries([1, 1, 0]).divide(TruncSeries([2, 0, 0]))
+        assert halves.coeffs == (Fraction(1, 2), Fraction(1, 2), 0)
+        assert [type(c) for c in (halves * 2).divide(TruncSeries([1, 1, 0])).coeffs] == [int] * 3
+        root = TruncSeries([1, 1, 0]).sqrt()
+        assert root.coeffs == (1, Fraction(1, 2), Fraction(-1, 8))
+        assert [type(c) for c in (root * root).coeffs] == [int, int, int]
+        assert TruncSeries([1, 1, 1]).integrate().coeffs == (0, 1, Fraction(1, 2), Fraction(1, 3))
+
+    def test_indexing_returns_fractions(self):
+        q = S.named("q", 10)
+        assert all(type(q[n]) is Fraction for n in range(-1, 11))
+        assert q[3] / 4 == Fraction(1, 2)
 
 
 class TestSolvers:
