@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional
+from types import MappingProxyType
+from typing import Iterator, Mapping, Optional
 
 from mapquot.kernel import Sigmas, kernel_form, run_census
 from mapquot.maps import (
@@ -36,29 +37,24 @@ class SizeCapExceeded(MapError):
     pass
 
 
-#: family caps keep runtimes at desk scale; pass force=True to go beyond
+#: size caps of a CensusQuery (and so of `mapquot enumerate`), which keep
+#: runtimes at desk scale; CensusQuery.force lifts them.  The library
+#: functions take any size.
 DEFAULT_CAPS = {
     "quad_faces": 7,
     "tri_faces": 10,
-    "sphere_quad_faces": 6,
-    "sphere_tri_faces": 8,
     "quad_2d_inner": 8,
     "tri_1d_inner": 9,
     "symmetric_inner": 9,
 }
 
-#: hard edge-count guard, independent of the family caps
+#: hard edge cap of a CensusQuery, which force does not lift
 MAX_EDGES = 24
 
 
-def _guard_edges(outer_deg: int, inner_deg: int, n_inner: int) -> None:
+def _check_inner(n_inner: int) -> None:
     if n_inner < 0:
         raise MapError(f"a family needs at least 0 inner faces, got {n_inner}")
-    darts = outer_deg + inner_deg * n_inner
-    if darts % 2 == 0 and darts // 2 > MAX_EDGES:
-        raise SizeCapExceeded(
-            f"{darts // 2} edges exceeds the hard cap of {MAX_EDGES}"
-        )
 
 
 def _inner_faces(n_faces: int, family: str) -> int:
@@ -68,19 +64,11 @@ def _inner_faces(n_faces: int, family: str) -> int:
     return n_faces - 1
 
 
-def _guard(value: int, cap_key: str, force: bool) -> None:
-    if not force and value > DEFAULT_CAPS[cap_key]:
-        raise SizeCapExceeded(
-            f"{cap_key}={value} exceeds the default cap "
-            f"{DEFAULT_CAPS[cap_key]}; pass force=True (--force) to override"
-        )
-
-
 class _Family:
     """A rooted family, read-only.  Its maps are kept as the Sigmas the kernel
-    emits, one buffer with one byte per dart of each map (_guard_edges keeps
-    families within 48 darts), rooted at dart 0, and built into a PlaneMap
-    only when they are reached."""
+    emits, one buffer with one byte per dart of each map (run_census refuses
+    families of more than 256 darts), rooted at dart 0, and built into a
+    PlaneMap only when they are reached."""
 
     __slots__ = ("sigmas",)
 
@@ -107,7 +95,7 @@ def _read_family(
     """All rooted maps with the given face-degree profile, one per class,
     generated afresh: the orientation check reads its families here, so they
     are not kept once it is done."""
-    _guard_edges(outer_deg, inner_deg, n_inner)
+    _check_inner(n_inner)
     return _Family(run_census(outer_deg, inner_deg, n_inner, simple, outer_simple))
 
 
@@ -127,33 +115,29 @@ def rooted_family(
 # -- plain rooted families -------------------------------------------------
 
 
-def rooted_quadrangulations(n_faces: int, simple: bool = True, force: bool = False):
+def rooted_quadrangulations(n_faces: int, simple: bool = True):
     """Rooted quadrangulations (outer face a simple 4-cycle), n_faces total."""
-    _guard(n_faces, "quad_faces", force)
     n_inner = _inner_faces(n_faces, "quadrangulations")
     return rooted_family(4, 4, n_inner, simple=simple, outer_simple=True)
 
 
-def rooted_triangulations(n_faces: int, simple: bool = True, force: bool = False):
+def rooted_triangulations(n_faces: int, simple: bool = True):
     """Rooted triangulations (outer face a simple 3-cycle), n_faces total."""
-    _guard(n_faces, "tri_faces", force)
     n_inner = _inner_faces(n_faces, "triangulations")
     return rooted_family(3, 3, n_inner, simple=simple, outer_simple=True)
 
 
-def rooted_sphere_quads(n_faces: int, force: bool = False):
+def rooted_sphere_quads(n_faces: int):
     """Rooted sphere maps with n_faces quadrangular faces (marked-dart count)."""
-    _guard(n_faces, "sphere_quad_faces", force)
     return rooted_family(4, 4, _inner_faces(n_faces, "sphere quadrangulations"))
 
 
-def rooted_sphere_tris(n_faces: int, force: bool = False):
+def rooted_sphere_tris(n_faces: int):
     """Rooted sphere maps with n_faces triangular faces (marked-dart count)."""
-    _guard(n_faces, "sphere_tri_faces", force)
     return rooted_family(3, 3, _inner_faces(n_faces, "sphere triangulations"))
 
 
-def simply_rooted_sphere_tris(n_faces: int, force: bool = False) -> _Family:
+def simply_rooted_sphere_tris(n_faces: int) -> _Family:
     """Sphere triangulations rooted at a non-loop dart: edge 0 is a loop
     exactly when dart 1 lies on the sigma-orbit of dart 0."""
 
@@ -163,7 +147,7 @@ def simply_rooted_sphere_tris(n_faces: int, force: bool = False) -> _Family:
             d = sigma[d]
         return d == 1
 
-    sigmas = rooted_sphere_tris(n_faces, force).sigmas
+    sigmas = rooted_sphere_tris(n_faces).sigmas
     packed = bytearray()
     for s in sigmas:
         if not loop_at_root(s):
@@ -171,15 +155,13 @@ def simply_rooted_sphere_tris(n_faces: int, force: bool = False) -> _Family:
     return _Family(Sigmas(packed, sigmas.width))
 
 
-def rooted_quad_2_dissections(n_inner: int, force: bool = False):
+def rooted_quad_2_dissections(n_inner: int):
     """Rooted quadrangular 2-dissections with n_inner inner faces."""
-    _guard(n_inner, "quad_2d_inner", force)
     return rooted_family(2, 4, n_inner, outer_simple=True)
 
 
-def rooted_tri_1_dissections(n_inner: int, force: bool = False):
+def rooted_tri_1_dissections(n_inner: int):
     """Rooted triangular 1-dissections with n_inner inner faces."""
-    _guard(n_inner, "tri_1d_inner", force)
     return rooted_family(1, 3, n_inner)
 
 
@@ -206,11 +188,13 @@ def marked_edge_count(maps) -> int:
     return len(codes)
 
 
-def two_point_quad_table(n: int, force: bool = False) -> dict[int, int]:
+@lru_cache(maxsize=None)
+def two_point_quad_table(n: int) -> Mapping[int, int]:
     """Sphere quadrangulations with n faces, a marked edge and a marked vertex,
-    counted by the distance i >= 1 from the vertex to the closer edge end."""
+    counted by the distance i >= 1 from the vertex to the closer edge end:
+    {i: count}, cached for the process and read-only."""
     table: dict[int, set[bytes]] = {}
-    for m in rooted_sphere_quads(n, force):
+    for m in rooted_sphere_quads(n):
         rootings = minimal_rootings(m, sphere=True)
         dist = [distances_from(m, v) for v in range(m.n_vertices)]
         for e in range(m.n_edges):
@@ -220,7 +204,7 @@ def two_point_quad_table(n: int, force: bool = False) -> dict[int, int]:
                 if i >= 1:
                     code = marked_code(m, rootings, pointed=v, marked_edge=e)
                     table.setdefault(i, set()).add(code)
-    return {i: len(c) for i, c in table.items()}
+    return MappingProxyType({i: len(c) for i, c in table.items()})
 
 
 def _pointed_classes(
@@ -228,7 +212,6 @@ def _pointed_classes(
     n_inner: int,
     distance: Optional[int],
     quasi_simple: bool,
-    force: bool,
 ) -> Iterator[tuple[PlaneMap, int, int]]:
     """The first pointed map of each unrooted pointed class, in family order,
     as (map, pointed vertex, radial distance).
@@ -238,9 +221,9 @@ def _pointed_classes(
     told apart within it alone (bare codes differ between classes).  One
     breadth-first search from the outer vertices gives every distance."""
     if inner_deg == 4:
-        fam = rooted_quad_2_dissections(n_inner, force)
+        fam = rooted_quad_2_dissections(n_inner)
     elif inner_deg == 3:
-        fam = rooted_tri_1_dissections(n_inner, force)
+        fam = rooted_tri_1_dissections(n_inner)
     else:
         raise MapError("inner degree must be 3 or 4")
     seen = set()
@@ -268,13 +251,12 @@ def pointed_dissection_classes(
     n_inner: int,
     distance: Optional[int] = None,
     quasi_simple: bool = False,
-    force: bool = False,
 ) -> list[PointedMap]:
     """Pointed quadrangular 2-dissections (inner_deg=4) or triangular
     1-dissections (inner_deg=3), one per unrooted pointed class."""
     return [
         PointedMap(m, v)
-        for m, v, _ in _pointed_classes(inner_deg, n_inner, distance, quasi_simple, force)
+        for m, v, _ in _pointed_classes(inner_deg, n_inner, distance, quasi_simple)
     ]
 
 
@@ -283,17 +265,16 @@ def count_pointed_dissections(
     n_inner: int,
     distance: Optional[int] = None,
     quasi_simple: bool = False,
-    force: bool = False,
 ) -> int:
     """The number of pointed_dissection_classes, keeping no map past its count."""
-    return sum(1 for _ in _pointed_classes(inner_deg, n_inner, distance, quasi_simple, force))
+    return sum(1 for _ in _pointed_classes(inner_deg, n_inner, distance, quasi_simple))
 
 
-def pointed_distance_table(inner_deg: int, n_inner: int, force: bool = False) -> dict[int, int]:
+def pointed_distance_table(inner_deg: int, n_inner: int) -> dict[int, int]:
     """count_pointed_dissections at every distance i >= 1, in one pass over
     the family: {i: count}, without the distances that have no class."""
     table: dict[int, int] = {}
-    for _, _, i in _pointed_classes(inner_deg, n_inner, None, False, force):
+    for _, _, i in _pointed_classes(inner_deg, n_inner, None, False):
         table[i] = table.get(i, 0) + 1
     return table
 
@@ -308,7 +289,6 @@ def symmetric_members(
     n_inner: int,
     simple: bool = False,
     distance: Optional[int] = None,
-    force: bool = False,
 ) -> list[SymmetricMap]:
     """k-symmetric dissections, generated directly by the kernel's search
     over rotation orbits of polygon sides (independent of the quotient
@@ -319,8 +299,7 @@ def symmetric_members(
     rotation, in family order.  Each is kept with its least such rotation and
     the maps are reduced to unrooted classes.
     """
-    _guard(n_inner, "symmetric_inner", force)
-    _guard_edges(outer_deg, inner_deg, n_inner)
+    _check_inner(n_inner)
     found = run_census(outer_deg, inner_deg, n_inner, simple, True, k) if k > 1 else []
     rotations = {}
     for _, sigma in sorted(kernel_form(s, outer_deg, inner_deg) for s in found):
@@ -345,40 +324,33 @@ def count_symmetric(
     n_inner: int,
     simple: bool = False,
     distance: Optional[int] = None,
-    force: bool = False,
 ) -> int:
-    return len(
-        symmetric_members(inner_deg, outer_deg, k, n_inner, simple, distance, force)
-    )
+    return len(symmetric_members(inner_deg, outer_deg, k, n_inner, simple, distance))
 
 
-def symmetric_simple_quadrangulations(
-    n: int, distance: Optional[int] = None, force: bool = False
-) -> list[SymmetricMap]:
+def symmetric_simple_quadrangulations(n: int, distance: Optional[int] = None) -> list[SymmetricMap]:
     """Symmetric (order-2) simple quadrangulations with 2n inner faces."""
-    return symmetric_members(4, 4, 2, 2 * n, simple=True, distance=distance, force=force)
+    return symmetric_members(4, 4, 2, 2 * n, simple=True, distance=distance)
 
 
-def symmetric_simple_triangulations(
-    n: int, distance: Optional[int] = None, force: bool = False
-) -> list[SymmetricMap]:
+def symmetric_simple_triangulations(n: int, distance: Optional[int] = None) -> list[SymmetricMap]:
     """Symmetric (order-3) simple triangulations with 3n inner faces."""
-    return symmetric_members(3, 3, 3, 3 * n, simple=True, distance=distance, force=force)
+    return symmetric_members(3, 3, 3, 3 * n, simple=True, distance=distance)
 
 
 # -- rooted marked counts (both sides of the marked-object identities) -------
 
 
-def rooted_marked_face_quads(n_inner: int, force: bool = False) -> int:
+def rooted_marked_face_quads(n_inner: int) -> int:
     """Rooted simple quadrangulations with n_inner inner faces and a marked face."""
-    fam = rooted_quadrangulations(n_inner + 1, simple=True, force=force)
+    fam = rooted_quadrangulations(n_inner + 1, simple=True)
     return sum(m.n_faces for m in fam)
 
 
-def rooted_quasi_simple_pointed_2d(n_inner: int, force: bool = False) -> int:
+def rooted_quasi_simple_pointed_2d(n_inner: int) -> int:
     """Rooted quasi-simple pointed quadrangular 2-dissections, n_inner inner faces."""
     total = 0
-    for m in rooted_quad_2_dissections(n_inner, force):
+    for m in rooted_quad_2_dissections(n_inner):
         for v in m.inner_vertices():
             if is_quasi_simple(PointedMap(m, v)):
                 total += 1
@@ -395,13 +367,29 @@ class CensusQuery:
     Size conventions: symmetric quadrangular families use kn inner faces and
     triangular ones (2n+1)k inner faces; plain quadrangulations and
     triangulations are sized by total faces; 2- and 1-dissections by inner
-    faces.
+    faces.  generate refuses a size past DEFAULT_CAPS unless force, and past
+    MAX_EDGES always.
     """
 
     spec: DissectionSpec
     size: int
     distance: Optional[int] = None
     force: bool = False
+
+
+def _guard(q: CensusQuery, cap_key: Optional[str], value: int, n_inner: int) -> None:
+    """The size caps, read here and only here: value against the query's
+    default cap unless q.force, then the edges of the family, n_inner inner
+    faces, against MAX_EDGES.  A negative n_inner is left for the library to
+    refuse."""
+    if cap_key and not q.force and value > DEFAULT_CAPS[cap_key]:
+        raise SizeCapExceeded(
+            f"{cap_key}={value} exceeds the default cap "
+            f"{DEFAULT_CAPS[cap_key]}; pass force=True (--force) to override"
+        )
+    darts = q.spec.outer_degree + q.spec.inner_face_degree * n_inner
+    if n_inner >= 0 and darts % 2 == 0 and darts // 2 > MAX_EDGES:
+        raise SizeCapExceeded(f"{darts // 2} edges exceeds the hard cap of {MAX_EDGES}")
 
 
 def generate(q: CensusQuery) -> Iterator[PlaneMap]:
@@ -423,43 +411,28 @@ def generate(q: CensusQuery) -> Iterator[PlaneMap]:
         raise MapError("irreducible families need an outer degree above the inner degree")
     if s.pointed and s.outer_degree != s.inner_face_degree - 2:
         raise MapError("pointed families have outer degree 2 (quadrangular) or 1 (triangular)")
+    d = s.inner_face_degree
     if s.symmetry_k:
         k = s.symmetry_k
-        if s.inner_face_degree == 4:
-            n_inner = k * q.size
-        else:
-            n_inner = (2 * q.size + 1) * k
-        members = symmetric_members(
-            s.inner_face_degree,
-            s.outer_degree,
-            k,
-            n_inner,
-            simple=s.simple,
-            distance=q.distance,
-            force=q.force,
-        )
-        for sm in members:
+        n_inner = k * q.size if d == 4 else (2 * q.size + 1) * k
+        _guard(q, "symmetric_inner", n_inner, n_inner)
+        for sm in symmetric_members(d, s.outer_degree, k, n_inner, s.simple, q.distance):
             yield sm.plane_map
         return
     if s.pointed:
-        for m, _, _ in _pointed_classes(
-            s.inner_face_degree, q.size, q.distance, s.quasi_simple, q.force
-        ):
+        _guard(q, "quad_2d_inner" if d == 4 else "tri_1d_inner", q.size, q.size)
+        for m, _, _ in _pointed_classes(d, q.size, q.distance, s.quasi_simple):
             yield m
         return
-    if s.inner_face_degree == 4 and s.outer_degree == 4:
-        fam = rooted_quadrangulations(q.size, simple=s.simple, force=q.force)
-    elif s.inner_face_degree == 3 and s.outer_degree == 3:
-        fam = rooted_triangulations(q.size, simple=s.simple, force=q.force)
+    if d == s.outer_degree == 4:
+        _guard(q, "quad_faces", q.size, q.size - 1)
+        fam = rooted_quadrangulations(q.size, simple=s.simple)
+    elif d == s.outer_degree == 3:
+        _guard(q, "tri_faces", q.size, q.size - 1)
+        fam = rooted_triangulations(q.size, simple=s.simple)
     else:
-        _guard_edges(s.outer_degree, s.inner_face_degree, q.size)
-        fam = rooted_family(
-            s.outer_degree,
-            s.inner_face_degree,
-            q.size,
-            simple=s.simple,
-            outer_simple=True,
-        )
+        _guard(q, None, q.size, q.size)
+        fam = rooted_family(s.outer_degree, d, q.size, simple=s.simple, outer_simple=True)
     if s.irreducible:
-        fam = (m for m in fam if is_irreducible(m, s.inner_face_degree))
+        fam = (m for m in fam if is_irreducible(m, d))
     yield from fam

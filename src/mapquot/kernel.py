@@ -121,13 +121,15 @@ def run_census(
 ) -> Sigmas:
     """All rooted maps of the family that the rotation of order k turns (every
     map when k = 1), as Sigmas: one buffer holding each map's sigma, one byte
-    per dart (alpha = xor 1, root 0), so a family holds at most 256 darts.
-    The root face needs outer_deg >= 1."""
+    per dart (alpha = xor 1, root 0), so a family of more than 256 darts is
+    refused.  The root face needs outer_deg >= 1."""
     n_blocks = 1 + n_inner
     total = outer_deg + n_inner * inner_deg
     results = bytearray()  # the finished sigmas, end to end
     if total % 2 != 0 or outer_deg % k or n_inner % k:
         return Sigmas(results, total)
+    if total > 256:
+        raise ValueError(f"a family of {total} darts exceeds the kernel's limit of 256 darts")
     offsets, phi_next = _polygons(outer_deg, inner_deg, n_inner)
     # images[s] = [rho s, rho^2 s, ..., rho^(k-1) s]
     images: list[list[int]] = [[] for _ in range(total)]

@@ -15,7 +15,6 @@ Surgery happens on a mutable rotation system with explicit edge pairing
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -24,6 +23,7 @@ from mapquot.maps import (
     PlaneMap,
     PointedMap,
     SymmetricMap,
+    distances_from,
     enclosing_girth,
     is_quasi_simple,
     is_simple,
@@ -277,18 +277,7 @@ def classical_quotient(s: SymmetricMap) -> PointedMap:
 def _canonical_path_to_outer(m: PlaneMap, start: int) -> list[int]:
     """Lexicographically smallest shortest dart path from `start` to the
     outer boundary."""
-    outer = m.outer_vertices()
-    dist = [-1] * m.n_vertices
-    queue = deque()
-    for v in sorted(outer):
-        dist[v] = 0
-        queue.append(v)
-    while queue:
-        v = queue.popleft()
-        for w in m.neighbors(v):
-            if dist[w] < 0:
-                dist[w] = dist[v] + 1
-                queue.append(w)
+    dist = distances_from(m, *m.outer_vertices())
     path = []
     v = start
     while dist[v] > 0:

@@ -9,11 +9,12 @@ from __future__ import annotations
 import math
 import os
 import time
+from collections import Counter
 from typing import Callable, Iterable
 
 from mapquot import census
 from mapquot import series as S
-from mapquot.maps import is_simple, unrooted_code
+from mapquot.maps import is_simple, radial_distance, unrooted_code
 from mapquot.orientations import (
     OrientationInfeasible,
     PathSelfIntersects,
@@ -305,10 +306,14 @@ def check_two_point_census(small: bool = False) -> tuple[bool, str]:
             return False, f"no pointed triangular 1-dissections with {2 * n + 1} inner faces"
         checks += [(f"two_point[tri, i={i}][{n}] = census", F[i][n] == table.get(i, 0))
                    for i in F]
+    by_distance = {
+        n: Counter(radial_distance(sm.base)
+                   for sm in census.symmetric_members(4, 4, 2, 2 * n, simple=True))
+        for n in range(1, 4)
+    }
     for i in (1, 2):
         G = S.two_point("quad_simple", i, 3)
-        checks += [(f"two_point[quad_simple, i={i}][{n}] = census",
-                    G[n] == census.count_symmetric(4, 4, 2, 2 * n, simple=True, distance=i))
+        checks += [(f"two_point[quad_simple, i={i}][{n}] = census", G[n] == by_distance[n][i])
                    for n in range(1, 4)]
     return _named_result(checks, f"two-point tables to size {nmax} (quad), {2*ntri+1} inner (tri)")
 

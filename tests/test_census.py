@@ -255,11 +255,15 @@ class TestQueries:
         assert counts == {2: 3, 3: 2, 4: 3, 5: 6}
 
     def test_cap_enforced(self):
-        with pytest.raises(census.SizeCapExceeded):
-            census.rooted_quadrangulations(8, simple=True)
-        with pytest.raises(census.SizeCapExceeded):
-            census.rooted_family(4, 4, 30)
+        quads = DissectionSpec(4, 4, simple=True)
+        with pytest.raises(census.SizeCapExceeded, match="quad_faces=8 exceeds the default cap 7"):
+            list(census.generate(census.CensusQuery(quads, 8)))
+        # force lifts the family cap but not the hard edge cap: 31 faces, 62 edges
+        with pytest.raises(census.SizeCapExceeded, match="62 edges exceeds the hard cap of 24"):
+            list(census.generate(census.CensusQuery(DissectionSpec(4, 4), 31, force=True)))
 
     def test_cap_override(self):
-        fam = census.rooted_quadrangulations(8, simple=True, force=True)
-        assert len(fam) == 1938
+        query = census.CensusQuery(DissectionSpec(4, 4, simple=True), 8, force=True)
+        assert sum(1 for _ in census.generate(query)) == 1938
+        # the library takes any size
+        assert len(census.rooted_quadrangulations(8, simple=True)) == 1938

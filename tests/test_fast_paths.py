@@ -17,6 +17,7 @@ import pytest
 from mapquot import census, verify
 from mapquot.kernel import kernel_form, run_census
 from mapquot.maps import (
+    DissectionSpec,
     PlaneMap,
     PointedMap,
     SymmetricMap,
@@ -253,10 +254,15 @@ def test_trusted_maps_equal_validated_maps():
 
 
 def test_size_cap_still_fires():
-    with pytest.raises(census.SizeCapExceeded):
-        census.symmetric_members(4, 4, 2, 10)
-    with pytest.raises(census.SizeCapExceeded):
-        census.symmetric_members(4, 8, 3, 12, force=True)
+    def members(spec, size, force=False):
+        return list(census.generate(census.CensusQuery(spec, size, force=force)))
+
+    # 5 orbits of 2 quadrangles: 10 inner faces
+    with pytest.raises(census.SizeCapExceeded, match="symmetric_inner=10 exceeds"):
+        members(DissectionSpec(4, 4, symmetry_k=2), 5)
+    # 4 orbits of 3 quadrangles in an octagon: 12 inner faces, 28 edges
+    with pytest.raises(census.SizeCapExceeded, match="28 edges exceeds the hard cap"):
+        members(DissectionSpec(4, 8, symmetry_k=3), 4, force=True)
 
 
 @pytest.mark.parametrize("name,family,sphere,ties", FAMILIES, ids=[f[0] for f in FAMILIES])

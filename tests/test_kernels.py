@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import kernel_oracle
-from mapquot import kernel
+from mapquot import census, kernel
 from mapquot.maps import PlaneMap, canonical_code
 
 CASES = [
@@ -114,6 +114,18 @@ def test_search_node_counts(case):
 
 def test_odd_dart_count_yields_nothing():
     assert len(kernel.run_census(3, 3, 2)) == 0
+
+
+def test_families_past_256_darts_are_refused_before_the_search():
+    # a sigma holds one byte per dart.  The outer-simple one-face families
+    # are empty, so only a refusal before the search can tell 258 from 256.
+    assert len(kernel.run_census(256, 4, 0, require_outer_simple=True)) == 0
+    with pytest.raises(ValueError, match="258 darts exceeds the kernel's limit of 256 darts"):
+        kernel.run_census(258, 4, 0, require_outer_simple=True)
+    with pytest.raises(ValueError, match="limit of 256 darts"):
+        kernel.run_census(258, 4, 0)
+    with pytest.raises(ValueError, match="limit of 256 darts"):
+        census.rooted_family(2, 4, 64)
 
 
 def test_census_is_one_packed_sequence_of_sigmas():

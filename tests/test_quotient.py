@@ -13,6 +13,7 @@ from mapquot.maps import (
 from mapquot.quotient import (
     MarkedMap,
     NotSymmetricSimpleQuad,
+    NotSymmetricSimpleTri,
     classical_quotient,
     phi,
     phi_inverse,
@@ -197,6 +198,11 @@ class TestPhiTri:
                     sym = phi_tri_inverse(m, e)
                     assert phi_tri(sym).code() == code
 
+    def test_rejects_wrong_family(self):
+        sym = hexagon_wheel_symmetric()  # hexagonal dissection, not a triangulation
+        with pytest.raises(NotSymmetricSimpleTri):
+            phi_tri(sym)
+
 
 @pytest.mark.parametrize(
     "quotient,inverse,members_of,rooted,n,expected",
@@ -210,14 +216,12 @@ class TestPhiTri:
     ],
     ids=["phi-5", "phi_tri-5", "phi_tri-7"],
 )
-def test_edge_marking_past_the_verify_sizes(
-    monkeypatch, quotient, inverse, members_of, rooted, n, expected
-):
+def test_edge_marking_past_the_verify_sizes(quotient, inverse, members_of, rooted, n, expected):
     """Round trips and the theorem's cardinality one step past the sizes
     that `verify` reaches.  The order-3 triangulations of size 7 have 21
-    inner faces and 33 edges, past the default edge cap."""
-    monkeypatch.setattr(census, "MAX_EDGES", 33)
-    members = members_of(n, force=True)
+    inner faces and 33 edges, past the caps of a census query, which the
+    library does not apply."""
+    members = members_of(n)
     images = set()
     for sym in members:
         mm = quotient(sym)
