@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -140,16 +141,7 @@ def cmd_verify(args) -> int:
     if unknown:
         print(f"error: unknown checks: {', '.join(map(repr, unknown))}", file=sys.stderr)
         return 2
-    small = args.max_size == "small"
-    jobs = min(args.jobs, len(names))
-    if jobs > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(jobs) as pool:
-            chunks = pool.starmap(run_suite, [([n], small) for n in names])
-        results = [r for chunk in chunks for r in chunk]
-    else:
-        results = run_suite(names, small)
+    results = run_suite(names, args.max_size == "small", args.jobs)
     ok = all(r["ok"] for r in results)
     _emit({"ok": ok, "results": results})
     return 0 if ok else 1
@@ -159,6 +151,12 @@ def cmd_render(args) -> int:
     rec = _read_record(args)
     sys.stdout.write(render.render_svg(rec["map"]) + "\n")
     return 0
+
+
+def _usable_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -211,7 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the acceptance checks")
     p.add_argument("--suite", default="all")
     p.add_argument("--max-size", choices=("default", "small"), default="default")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=_usable_cores(),
+                   help="processes to run the checks on (default: the usable cores)")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("render", help="SVG drawing of a map record")

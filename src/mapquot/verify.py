@@ -2,6 +2,11 @@
 one suite.  Each check returns (ok, detail); run_suite gathers them with
 timings.  The CLI `verify` subcommand and the acceptance tests both call
 into this module so there is a single source of truth.
+
+run_suite runs a suite as work items, on a pool of forked processes when
+asked for more than one job.  A check is one item, except the orientation
+check, which is split into one item per census family and merged back in
+family order, so a result does not depend on how the suite ran.
 """
 
 from __future__ import annotations
@@ -10,7 +15,7 @@ import math
 import os
 import time
 from collections import Counter
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from mapquot import census
 from mapquot import series as S
@@ -36,6 +41,16 @@ from mapquot.quotient import (
     unroll,
     verify_quotient_lemmas,
 )
+
+
+class _Item(NamedTuple):
+    """One picklable unit of work of a check: fn(*args).  darts is the size
+    of the census family it walks, if any; a pool starts the largest first."""
+
+    fn: Callable
+    args: tuple
+    darts: int = 0
+
 
 GOLDEN_Q = [0, 0, 1, 2, 6, 22, 91, 408, 1938]
 GOLDEN_T = [0, 1, 1, 3, 13, 68, 399, 2530, 16965]
@@ -223,68 +238,99 @@ def check_quotient_lemmas(small: bool = False) -> tuple[bool, str]:
     return _named_result(checks, f"{count} symmetric maps checked")
 
 
-def check_orientations(small: bool = False) -> tuple[bool, str]:
-    """d-orientation suite over every quadrangulation/triangulation under cap,
-    walking each family once; failures are named by statement and family.
+def _orientation_family(deg: int, d: int, n: int) -> tuple[dict[str, bool], int, str | None]:
+    """The d-orientation statements on the outer-simple maps of one family:
+    (named results, leftmost paths traced, the failure when no map is
+    d-orientable).
 
     A non-simple map is proved non-orientable by the Hall violator that
     overloaded_vertices reads from its sigma; only the simple maps are built
     and given the flow search.  No other check reads these families, so they
     are read past the rooted_family cache and freed once walked."""
+    where = f"degree {deg}, size {n}"
+    orientable_iff_simple = f"{d}-orientable == simple, {where}"
     checks: dict[str, bool] = {}
 
     def note(name: str, ok: bool) -> None:
         checks[name] = checks.get(name, True) and ok
 
-    paths = 0
-    fams = [(4, 2, range(2, 6 if small else 8)), (3, 3, range(2, 7 if small else 11, 2))]
-    for deg, d, sizes in fams:
-        for n in sizes:
-            where = f"degree {deg}, size {n}"
-            orientable_iff_simple = f"{d}-orientable == simple, {where}"
-            fam = census._read_family(deg, deg, n - 1, outer_simple=True)
-            feasible = 0
-            for i, sigma in enumerate(fam.sigmas):
-                obstruction = overloaded_vertices(sigma)
-                if obstruction is not None:
-                    inside, touching = obstruction
-                    note(orientable_iff_simple, bool(inside) and touching < d * len(inside))
-                    continue
-                m = fam[i]
-                note(orientable_iff_simple, is_simple(m))
-                try:
-                    o = find_d_orientation(m, d)
-                except OrientationInfeasible:
-                    note(orientable_iff_simple, False)
-                    continue
-                feasible += 1
-                mo = minimize(o)
-                note(f"minimal, {where}", is_minimal(mo))
-                note(f"{d} inner edges per inner vertex, {where}",
-                     len(m.inner_edges()) == d * len(m.inner_vertices()))
-                cycles = directed_simple_cycles(o)
-                if cycles:
-                    note(f"minimal after a cycle reversal, {where}",
-                         minimize(o.reversed_cycle(cycles[0])).along == mo.along)
-                for dart in mo.along:
-                    if dart is None:
-                        continue
-                    try:
-                        leftmost_path(mo, dart)  # simple, and ends at an outer vertex
-                        paths += 1
-                    except PathSelfIntersects:
-                        note(f"leftmost paths, {where}", False)
-            if not feasible:
-                return False, f"no {d}-orientable maps among {len(fam)} of degree {deg}, size {n}"
-    # minimal orientations of symmetric members are rotation invariant
+    paths = feasible = 0
+    fam = census._read_family(deg, deg, n - 1, outer_simple=True)
+    for i, sigma in enumerate(fam.sigmas):
+        obstruction = overloaded_vertices(sigma)
+        if obstruction is not None:
+            inside, touching = obstruction
+            note(orientable_iff_simple, bool(inside) and touching < d * len(inside))
+            continue
+        m = fam[i]
+        note(orientable_iff_simple, is_simple(m))
+        try:
+            o = find_d_orientation(m, d)
+        except OrientationInfeasible:
+            note(orientable_iff_simple, False)
+            continue
+        feasible += 1
+        mo = minimize(o)
+        note(f"minimal, {where}", is_minimal(mo))
+        note(f"{d} inner edges per inner vertex, {where}",
+             len(m.inner_edges()) == d * len(m.inner_vertices()))
+        cycles = directed_simple_cycles(o)
+        if cycles:
+            note(f"minimal after a cycle reversal, {where}",
+                 minimize(o.reversed_cycle(cycles[0])).along == mo.along)
+        for dart in mo.along:
+            if dart is None:
+                continue
+            try:
+                leftmost_path(mo, dart)  # simple, and ends at an outer vertex
+                paths += 1
+            except PathSelfIntersects:
+                note(f"leftmost paths, {where}", False)
+    if not feasible:
+        return checks, paths, f"no {d}-orientable maps among {len(fam)} of {where}"
+    return checks, paths, None
+
+
+def _orientation_symmetric(small: bool) -> tuple[dict[str, bool], int, None]:
+    """Minimal orientations of symmetric members are rotation invariant."""
     symmetric = [(2, 2, n, census.symmetric_simple_quadrangulations(n))
                  for n in ((1, 2) if small else (1, 2, 3))]
     symmetric.append((3, 3, 1, census.symmetric_simple_triangulations(1)))
+    checks: dict[str, bool] = {}
     for k, d, n, members in symmetric:
-        for sym in members:
-            note(f"symmetric minimal, k={k}, size {n}",
-                 check_symmetric_minimal(sym, minimal_d_orientation(sym.plane_map, d)))
-    return _named_result(checks.items(), f"{paths} leftmost paths traced")
+        name = f"symmetric minimal, k={k}, size {n}"
+        checks[name] = all([check_symmetric_minimal(sym, minimal_d_orientation(sym.plane_map, d))
+                            for sym in members])
+    return checks, 0, None
+
+
+def _orientation_items(small: bool) -> list[_Item]:
+    """One item per (deg, d, n) family, in family order, then the symmetric
+    members."""
+    families = [(4, 2, range(2, 6 if small else 8)), (3, 3, range(2, 7 if small else 11, 2))]
+    items = [_Item(_orientation_family, (deg, d, n), darts=deg * n)
+             for deg, d, sizes in families for n in sizes]
+    return items + [_Item(_orientation_symmetric, (small,))]
+
+
+def _merge_orientations(values) -> tuple[bool, str]:
+    """(ok, detail) of the orientation items' values, in item order: the
+    first family with no d-orientable map, else every broken statement.
+    No statement is named by two items."""
+    checks = []
+    paths = 0
+    for named, traced, failure in values:
+        if failure:
+            return False, failure
+        checks += named.items()
+        paths += traced
+    return _named_result(checks, f"{paths} leftmost paths traced")
+
+
+def check_orientations(small: bool = False) -> tuple[bool, str]:
+    """d-orientation suite over every quadrangulation/triangulation under cap,
+    walking each family once; failures are named by statement and family."""
+    return _merge_orientations([item.fn(*item.args) for item in _orientation_items(small)])
 
 
 def check_two_point_census(small: bool = False) -> tuple[bool, str]:
@@ -409,26 +455,99 @@ CHECKS: dict[str, Callable[[bool], tuple[bool, str]]] = {
 }
 
 
-def run_suite(
-    names: Iterable[str] | None = None, small: bool = False
-) -> list[dict]:
-    results = []
-    for name in names or CHECKS:
-        fn = CHECKS[name]
-        t0 = time.perf_counter()
+def _call_check(name: str, small: bool) -> tuple[bool, str]:
+    """The check registered under name, looked up where it runs, so that a
+    pool pickles its name and not the check itself."""
+    return CHECKS[name](small)
+
+
+def _only(values) -> tuple[bool, str]:
+    return values[0]
+
+
+# A split check runs as several items: name -> (its items for `small`, the
+# merge that folds their values, in item order, into (ok, detail)).
+_SPLIT = {"orientations": (_orientation_items, _merge_orientations)}
+
+
+def _work(name: str, small: bool):
+    """(items, merge) of the named check."""
+    if name in _SPLIT:
+        items, merge = _SPLIT[name]
+        return items(small), merge
+    return [_Item(_call_check, (name, small))], _only
+
+
+def _run_item(fn, args) -> tuple[object, str | None, float]:
+    """fn(*args), timed: (value, None, seconds), or (None, where it crashed,
+    seconds).  The crash is described in the process that ran it, because a
+    traceback does not pickle."""
+    t0 = time.perf_counter()
+    try:
+        return fn(*args), None, time.perf_counter() - t0
+    except Exception as exc:  # a crash is a failure, not an abort
+        import traceback  # imported on a crash only, to keep it out of CLI start-up
+        where = traceback.extract_tb(exc.__traceback__)[-1]
+        at = f"{os.path.basename(where.filename)}:{where.lineno} in {where.name}"
+        return None, f"{type(exc).__name__}: {exc} ({at})", time.perf_counter() - t0
+
+
+def _run_pool(items: list[_Item], jobs: int) -> list[tuple[object, str | None, float]]:
+    """_run_item of every item on `jobs` forked processes, the largest
+    families first.  An item whose worker process died, or that never
+    started because the pool broke, comes back as a crash saying so."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    died = (None, "BrokenProcessPool: its worker process died", 0.0)
+    order = sorted(range(len(items)), key=lambda i: -items[i].darts)
+    futures = {}
+    # fork, not spawn: a worker keeps this process's warm caches (and the
+    # names a test patched) and pays no second import.  Fork is safe here
+    # because the executor (from Python 3.11) forks every worker at the first
+    # submit, before it starts its own thread, and run_suite starts none.
+    with ProcessPoolExecutor(jobs, mp_context=multiprocessing.get_context("fork")) as pool:
         try:
-            ok, detail = fn(small)
-        except Exception as exc:  # a crash is a failure, not an abort
-            import traceback  # imported on a crash only, to keep it out of CLI start-up
-            where = traceback.extract_tb(exc.__traceback__)[-1]
-            at = f"{os.path.basename(where.filename)}:{where.lineno} in {where.name}"
-            ok, detail = False, f"{type(exc).__name__}: {exc} ({at})"
+            for i in order:
+                futures[i] = pool.submit(_run_item, items[i].fn, items[i].args)
+        except BrokenProcessPool:
+            pass
+        outcomes = []
+        for i in range(len(items)):
+            try:
+                outcomes.append(futures[i].result() if i in futures else died)
+            except BrokenProcessPool:
+                outcomes.append(died)
+    return outcomes
+
+
+def run_suite(
+    names: Iterable[str] | None = None, small: bool = False, jobs: int = 1
+) -> list[dict]:
+    """Run the named checks (all by default) as work items, on up to `jobs`
+    processes; one item, or jobs=1, runs in this process.  Each result is
+    the same whichever way it ran, apart from `seconds`, which for a split
+    check is the sum of its items' times."""
+    names = list(names or CHECKS)
+    work = [_work(name, small) for name in names]
+    items = [item for check_items, _ in work for item in check_items]
+    jobs = min(jobs, len(items))
+    if jobs > 1:
+        outcomes = _run_pool(items, jobs)
+    else:
+        outcomes = [_run_item(item.fn, item.args) for item in items]
+    results = []
+    for name, (check_items, merge) in zip(names, work):
+        mine, outcomes = outcomes[:len(check_items)], outcomes[len(check_items):]
+        crash = next((crash for _, crash, _ in mine if crash), None)
+        ok, detail = (False, crash) if crash else merge([value for value, _, _ in mine])
         results.append(
             {
                 "check": name,
                 "ok": bool(ok),
                 "detail": detail,
-                "seconds": round(time.perf_counter() - t0, 3),
+                "seconds": round(sum(seconds for _, _, seconds in mine), 3),
             }
         )
     return results

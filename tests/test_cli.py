@@ -1,7 +1,6 @@
+import concurrent.futures
 import io
-import itertools
 import json
-import multiprocessing
 import shlex
 import subprocess
 import sys
@@ -13,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mapquot import census, jsonio
+from mapquot import census, jsonio, verify
 from mapquot.cli import main
 from mapquot.maps import PlaneMap, unrooted_code
 from mapquot.quotient import phi, phi_tri
@@ -329,9 +328,9 @@ class TestVerifyCommand:
     def test_pool_is_no_larger_than_the_suite(self, capsys, monkeypatch):
         requested = []
 
-        class InProcessPool:  # records its size and starts no process
-            def __init__(self, processes):
-                requested.append(processes)
+        class InProcessPool:  # records its size and runs each item at once
+            def __init__(self, max_workers, mp_context):
+                requested.append(max_workers)
 
             def __enter__(self):
                 return self
@@ -339,17 +338,53 @@ class TestVerifyCommand:
             def __exit__(self, *exc):
                 return False
 
-            def starmap(self, fn, args):
-                return list(itertools.starmap(fn, args))
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
 
-        monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
-        two = ["verify", "--suite", "series_golden,cross_series", "--max-size", "small"]
-        code, out = run_cli(capsys, *two, "--jobs", "64")
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        # series_golden is one item, and the orientation check one per family
+        # and one for its symmetric members; the orientation items go first
+        items = 1 + len(verify._orientation_items(small=True))
+        suite = ["verify", "--suite", "series_golden,orientations", "--max-size", "small"]
+        code, out = run_cli(capsys, *suite, "--jobs", "64")
         assert code == 0
-        assert [r["check"] for r in json.loads(out)["results"]] == ["series_golden", "cross_series"]
+        assert [r["check"] for r in json.loads(out)["results"]] == ["series_golden", "orientations"]
+        code, _ = run_cli(capsys, *suite, "--jobs", "2")
+        assert code == 0
         code, _ = run_cli(capsys, "verify", "--suite", "series_golden", "--jobs", "4")
         assert code == 0
-        assert requested == [2]
+        assert requested == [items, 2]
+
+    def test_a_dead_worker_fails_its_checks(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = (
+            "import os, sys\n"
+            "from mapquot import cli, verify\n"
+            "verify.CHECKS['dies'] = lambda small: os._exit(3)\n"
+            "sys.exit(cli.main(['verify', '--suite', 'series_golden,dies', '--jobs', '2']))\n"
+        )
+        # the output pipes close only when no worker holds them open
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={"PYTHONPATH": str(src)}, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr == ""
+        payload = json.loads(proc.stdout)
+        assert payload["ok"] is False
+        dies = payload["results"][1]
+        assert (dies["check"], dies["ok"]) == ("dies", False)
+        assert "worker process died" in dies["detail"]
+
+
+def test_start_up_imports_no_process_pool():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import mapquot.cli, sys; "
+            "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={"PYTHONPATH": str(src)}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 # a path u-v-w: edges 0 and 1 both join u and v, edge 3 is a loop at w

@@ -2,6 +2,7 @@
 series or series identity and a crashing check each say what failed and
 where."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -155,15 +156,53 @@ def test_series_golden_is_timed_from_a_cold_cache():
     assert (info.hits, info.misses) == (0, 2)
 
 
-def test_run_suite_reports_where_a_check_crashed(monkeypatch):
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_run_suite_reports_where_a_check_crashed(monkeypatch, jobs):
     def crashes(small):
         raise ValueError("boom")
 
     monkeypatch.setitem(verify.CHECKS, "crashes", crashes)
-    (result,) = verify.run_suite(["crashes"])
+    # two items, so that with jobs=2 the crash is described in a worker
+    result, golden = verify.run_suite(["crashes", "series_golden"], jobs=jobs)
     line = crashes.__code__.co_firstlineno + 1
     assert not result["ok"]
     assert result["detail"] == f"ValueError: boom (test_verify.py:{line} in crashes)"
+    assert golden["ok"]
+
+
+def _untimed(results):
+    """results without their timings: `seconds`, and the time in the
+    series_golden detail."""
+    return [{**r, "seconds": None, "detail": re.sub(r" in [0-9.]+s$", " in Ts", r["detail"])}
+            for r in results]
+
+
+def test_a_suite_gives_the_same_results_in_one_process_and_on_two():
+    serial = verify.run_suite(list(verify.CHECKS), small=True, jobs=1)
+    assert all(r["ok"] for r in serial)
+    assert _untimed(verify.run_suite(list(verify.CHECKS), small=True, jobs=2)) == _untimed(serial)
+
+
+def test_a_split_check_names_its_broken_families_in_family_order(monkeypatch):
+    real = verify.overloaded_vertices
+
+    def overloaded(sigma):
+        # 16 darts: the quadrangulations of size 4, 18: the triangulations of
+        # size 6; three edges per inside vertex fail the count for d = 2 and 3
+        found = real(sigma)
+        if found is None or len(sigma) not in (16, 18):
+            return found
+        inside, _ = found
+        return inside, 3 * len(inside)
+
+    monkeypatch.setattr(verify, "overloaded_vertices", overloaded)
+    # the pool starts the triangulations of size 6 before the quadrangulations of size 4
+    expected = ("failed: 2-orientable == simple, degree 4, size 4, "
+                "3-orientable == simple, degree 3, size 6")
+    for jobs in (1, 2):
+        (result,) = verify.run_suite(["orientations"], small=True, jobs=jobs)
+        assert not result["ok"]
+        assert result["detail"] == expected
 
 
 def test_quotient_lemmas_name_the_broken_lemma_and_family(monkeypatch):
