@@ -8,6 +8,14 @@ or to the first side of a fresh polygon.  Every rooted map of the family is
 produced from exactly one gluing sequence, so the output is duplicate-free
 by construction.
 
+Gluing a side to the side j places on along its boundary cycle of L sides
+leaves gaps of j - 1 and L - 1 - j sides, and opening a fresh polygon adds
+inner_deg - 2 sides, so while inner_deg is even, or once every polygon is
+open, an odd cycle always leaves an odd cycle and never closes.  In those
+states the search abandons a side whose cycle is odd and glues a side only
+at odd distances j; the branches it cuts emit nothing, so the maps and
+their order are unchanged.
+
 Family constraints (no loops, no multiple edges, outer contour simple) are
 pruned during the search: once two corners have been identified they stay
 identified, so an edge whose endpoints currently coincide is a loop in every
@@ -230,8 +238,10 @@ def run_census(
                 _emit(edges, phi_next, partner, results)
             return
         cands = _boundary(d, phi_next, partner)
-        if opened == n_blocks and len(cands) % 2 == 0:
-            return  # odd cycle cannot close without fresh faces
+        if opened == n_blocks or inner_deg % 2 == 0:
+            if len(cands) % 2 == 0:
+                return
+            cands = cands[::2]
         if k > 1:
             own = images[d]
             cands = [b for b in cands if b not in own]

@@ -8,6 +8,12 @@ the same maps in the same order from more search nodes.
 tests/test_kernels.py requires both kernels to return the same sigma arrays
 in the same order.
 
+It keeps the end-only parity cut: a side whose boundary cycle is odd is cut
+only once every polygon is open, when no gluing can change the parity of
+its cycle.  The package kernel also cuts it earlier, while a fresh polygon
+of even degree cannot change that parity either, and glues a side only at
+odd distances, so this kernel is the oracle for that cut.
+
 Enumerates rooted genus-0 maps with one face of degree ``outer_deg`` (the
 root face, on the left of dart 0) and ``n_inner`` faces of degree
 ``inner_deg``, by gluing polygon sides.  The smallest unglued side is glued

@@ -47,6 +47,10 @@ ORACLE_FLAGS = [
 # the most branches.
 SIMPLE_ORACLE_PROFILES = [(4, 4, 7), (6, 4, 5), (8, 4, 4), (6, 3, 6)]
 
+# Unconstrained and outer-simple quadrangular families, where most of the
+# parity cut falls before the last polygon opens.
+PARITY_ORACLE_CASES = [((2, 4, 6), {}), ((4, 4, 5), dict(require_outer_simple=True))]
+
 
 def test_pure_kernel_matches_whole_state_oracle():
     def maps(profile, flags):
@@ -59,6 +63,9 @@ def test_pure_kernel_matches_whole_state_oracle():
     assert (sum(counts), sum(map(bool, counts))) == (71647, 26)
     simple = [maps(profile, ORACLE_FLAGS[3]) for profile in SIMPLE_ORACLE_PROFILES]
     assert simple == [1938, 294, 90, 84]
+    # the oracle keeps the end-only parity cut
+    parity = [maps(profile, flags) for profile, flags in PARITY_ORACLE_CASES]
+    assert parity == [24057, 7425]
 
 
 KERNEL_FORM_PROFILES = [
@@ -100,10 +107,12 @@ def search_nodes(*args):
 # Weaker pruning gives the same maps from more nodes, so the nodes are pinned.
 SEARCH_NODES = {
     (3, 3, 11, True, True, 1): (2583, 399),
-    (4, 4, 6, True, True, 1): (3081, 408),
-    (6, 4, 6, False, True, 3): (63, 18),
-    (4, 4, 8, True, True, 2): (454, 110),
-    (4, 4, 8, True, True, 1): (76130, 9614),
+    (4, 4, 6, True, True, 1): (2643, 408),
+    (6, 4, 6, False, True, 3): (48, 18),
+    (4, 4, 8, True, True, 2): (402, 110),
+    (4, 4, 8, True, True, 1): (61294, 9614),
+    (4, 4, 4, False, False, 1): (9790, 2916),
+    (4, 4, 4, False, True, 1): (2735, 810),
 }
 
 
