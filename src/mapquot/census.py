@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Iterator, Mapping, Optional
+from typing import Iterator, Mapping, Optional, Sequence
 
 from mapquot.kernel import Sigmas, kernel_form, run_census
 from mapquot.maps import (
@@ -50,6 +50,10 @@ DEFAULT_CAPS = {
 
 #: hard edge cap of a CensusQuery, which force does not lift
 MAX_EDGES = 24
+
+#: lower hard edge caps, by (inner degree, pointed), of the non-simple families,
+#: which the kernel searches without the simple prune: about 2 minutes each
+UNPRUNED_MAX_EDGES = {(4, False): 18, (4, True): 15, (3, False): 21, (3, True): 21}
 
 
 def _check_inner(n_inner: int) -> None:
@@ -368,7 +372,7 @@ class CensusQuery:
     triangular ones (2n+1)k inner faces; plain quadrangulations and
     triangulations are sized by total faces; 2- and 1-dissections by inner
     faces.  generate refuses a size past DEFAULT_CAPS unless force, and past
-    MAX_EDGES always.
+    MAX_EDGES (UNPRUNED_MAX_EDGES for a non-simple family) always.
     """
 
     spec: DissectionSpec
@@ -380,21 +384,28 @@ class CensusQuery:
 def _guard(q: CensusQuery, cap_key: Optional[str], value: int, n_inner: int) -> None:
     """The size caps, read here and only here: value against the query's
     default cap unless q.force, then the edges of the family, n_inner inner
-    faces, against MAX_EDGES.  A negative n_inner is left for the library to
-    refuse."""
+    faces, against MAX_EDGES and UNPRUNED_MAX_EDGES.  A negative n_inner is
+    left for the library to refuse."""
+    s = q.spec
     if cap_key and not q.force and value > DEFAULT_CAPS[cap_key]:
         raise SizeCapExceeded(
             f"{cap_key}={value} exceeds the default cap "
             f"{DEFAULT_CAPS[cap_key]}; pass force=True (--force) to override"
         )
-    darts = q.spec.outer_degree + q.spec.inner_face_degree * n_inner
-    if n_inner >= 0 and darts % 2 == 0 and darts // 2 > MAX_EDGES:
-        raise SizeCapExceeded(f"{darts // 2} edges exceeds the hard cap of {MAX_EDGES}")
+    darts = s.outer_degree + s.inner_face_degree * n_inner
+    edges = darts // 2 if n_inner >= 0 and darts % 2 == 0 else 0
+    if edges > MAX_EDGES:
+        raise SizeCapExceeded(f"{edges} edges exceeds the hard cap of {MAX_EDGES}")
+    if not (s.simple or s.symmetry_k):
+        cap = UNPRUNED_MAX_EDGES[s.inner_face_degree, s.pointed]
+        if edges > cap:
+            raise SizeCapExceeded(
+                f"{edges} edges exceeds the hard cap of {cap} for a non-simple family")
 
 
-def generate(q: CensusQuery) -> Iterator[PlaneMap]:
-    """Rooted census members for plain queries (symmetric/pointed queries
-    yield the underlying plane maps of their witnesses)."""
+def generate(q: CensusQuery) -> Iterator[Sequence[int]]:
+    """The sigma of each census member, rooted at dart 0: the kernel's buffer
+    for plain queries, the plane map of each witness for the others."""
     s = q.spec
     if q.distance is not None and not (s.pointed or s.symmetry_k):
         raise MapError("a distance filter needs a pointed or symmetric family")
@@ -417,12 +428,14 @@ def generate(q: CensusQuery) -> Iterator[PlaneMap]:
         n_inner = k * q.size if d == 4 else (2 * q.size + 1) * k
         _guard(q, "symmetric_inner", n_inner, n_inner)
         for sm in symmetric_members(d, s.outer_degree, k, n_inner, s.simple, q.distance):
-            yield sm.plane_map
+            assert sm.plane_map.root_dart == 0
+            yield sm.plane_map.sigma
         return
     if s.pointed:
         _guard(q, "quad_2d_inner" if d == 4 else "tri_1d_inner", q.size, q.size)
         for m, _, _ in _pointed_classes(d, q.size, q.distance, s.quasi_simple):
-            yield m
+            assert m.root_dart == 0
+            yield m.sigma
         return
     if d == s.outer_degree == 4:
         _guard(q, "quad_faces", q.size, q.size - 1)
@@ -434,5 +447,6 @@ def generate(q: CensusQuery) -> Iterator[PlaneMap]:
         _guard(q, None, q.size, q.size)
         fam = rooted_family(s.outer_degree, d, q.size, simple=s.simple, outer_simple=True)
     if s.irreducible:
-        fam = (m for m in fam if is_irreducible(m, d))
-    yield from fam
+        yield from (m.sigma for m in fam if is_irreducible(m, d))
+    else:
+        yield from fam.sigmas

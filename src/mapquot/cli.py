@@ -86,10 +86,10 @@ def cmd_enumerate(args) -> int:
     )
     query = census.CensusQuery(spec, args.size, distance=args.distance, force=args.force)
     count = 0
-    for m in census.generate(query):
+    for sigma in census.generate(query):
         count += 1
         if not args.count_only:
-            _emit(jsonio.map_record(m))
+            sys.stdout.write(jsonio.bare_record(sigma) + "\n")
     _emit({"count": count, "size": args.size})
     return 0
 

@@ -44,6 +44,18 @@ def map_record(
     }
 
 
+#: dumps(map_record(m)) of a map rooted at dart 0 with no other field set,
+#: and the text of each dart of a census map, which has at most 256 darts
+_BARE_RECORD = ('{"k":null,"marked_edge":null,"marked_face":null,"n_darts":%d,'
+                '"orient":null,"pointed":null,"rho":null,"root":0,"sigma":[%s]}')
+_DART_TEXT = [str(d) for d in range(256)]
+
+
+def bare_record(sigma) -> str:
+    """dumps(map_record(PlaneMap(sigma, 0))), written straight from a census sigma."""
+    return _BARE_RECORD % (len(sigma), ",".join([_DART_TEXT[d] for d in sigma]))
+
+
 def symmetric_record(s: SymmetricMap) -> dict:
     return map_record(
         s.plane_map, pointed=s.center, rho=s.rho, k=s.order_k

@@ -249,18 +249,27 @@ class TestQueries:
         spec = DissectionSpec(4, 6, simple=True, irreducible=True)
         counts = {}
         for n in (2, 3, 4, 5):
-            members = list(census.generate(census.CensusQuery(spec, n)))
+            members = [PlaneMap(s) for s in census.generate(census.CensusQuery(spec, n))]
             assert all(is_irreducible(m, 4) for m in members)
             counts[n] = len(members)
         assert counts == {2: 3, 3: 2, 4: 3, 5: 6}
 
-    def test_cap_enforced(self):
+    def test_cap_enforced(self, monkeypatch):
+        def search(*args):
+            pytest.fail("the kernel searched a family past its cap")
+
+        monkeypatch.setattr(census, "run_census", search)
         quads = DissectionSpec(4, 4, simple=True)
         with pytest.raises(census.SizeCapExceeded, match="quad_faces=8 exceeds the default cap 7"):
             list(census.generate(census.CensusQuery(quads, 8)))
         # force lifts the family cap but not the hard edge cap: 31 faces, 62 edges
         with pytest.raises(census.SizeCapExceeded, match="62 edges exceeds the hard cap of 24"):
             list(census.generate(census.CensusQuery(DissectionSpec(4, 4), 31, force=True)))
+        # a family searched without the simple prune has a lower hard cap
+        with pytest.raises(census.SizeCapExceeded, match="20 edges exceeds the hard cap of 18"):
+            list(census.generate(census.CensusQuery(DissectionSpec(4, 4), 10, force=True)))
+        with pytest.raises(census.SizeCapExceeded, match="22 edges exceeds the hard cap of 21"):
+            list(census.generate(census.CensusQuery(DissectionSpec(3, 2), 14, force=True)))
 
     def test_cap_override(self):
         query = census.CensusQuery(DissectionSpec(4, 4, simple=True), 8, force=True)

@@ -1,4 +1,5 @@
 import concurrent.futures
+import hashlib
 import io
 import json
 import shlex
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from mapquot import census, jsonio, verify
 from mapquot.cli import main
-from mapquot.maps import PlaneMap, unrooted_code
+from mapquot.maps import DissectionSpec, PlaneMap, unrooted_code
 from mapquot.quotient import phi, phi_tri
 
 from fixtures import cube, hexagon_wheel, square_map, w_fan
@@ -145,6 +146,83 @@ class TestEnumerateCommand:
             "quad_faces=8 exceeds the default cap 7; pass force=True (--force) to override",
         )
 
+    def test_unpruned_search_past_its_cap_is_refused_even_with_force(self, capsys, monkeypatch):
+        # the non-simple 2-dissections with 9 inner faces, which the kernel
+        # searches without the simple prune, ran for minutes without output
+        monkeypatch.setattr(census, "run_census", mock.Mock(side_effect=AssertionError("searched")))
+        code = main([
+            "enumerate", "--inner-degree", "4", "--outer-degree", "2", "--size", "9",
+            "--pointed", "--force",
+        ])
+        captured = capsys.readouterr()
+        assert_usage_error(code, captured.out, captured.err, "19 edges exceeds the hard cap of 15")
+
+    # (argv, exit code, sha256 of stdout): the bytes of each kind of stream
+    OUTPUT_PINS = [
+        ("--inner-degree 4 --outer-degree 4 --size 4", 0,
+         "92cec7b8354ae7eb07c08a39c2fb731d474d2bcd186e4898a1dd5746cf804f28"),
+        ("--inner-degree 4 --outer-degree 4 --size 6 --simple", 0,
+         "c496a611e781595ea547a51bfa884dd72f104d3eb3fe92c7067da48b8a2d7537"),
+        ("--inner-degree 4 --outer-degree 4 --size 7 --simple --count-only", 0,
+         "a780754c026a9a76e80c28a372bfae9bc307d78ffd30d87e417665c52c0f21a8"),
+        ("--inner-degree 4 --outer-degree 8 --size 4 --irreducible", 0,
+         "9eed1e72db8ea89d701528bcaba492bf3164f6de2b0c9d8cb93b90e775a04cd0"),
+        ("--inner-degree 4 --outer-degree 2 --size 3 --pointed", 0,
+         "185d3e412a0a8e9a7cc57dd2e09f7af45264884cd7360fee374de2e42ea90621"),
+        ("--inner-degree 4 --outer-degree 2 --size 4 --pointed --quasi-simple", 0,
+         "ffa79bfc47e2401600b22ecc5af96fdf0ce46ded1224b0ac0d0e1b14a045d72a"),
+        ("--inner-degree 4 --outer-degree 2 --size 3 --pointed --distance 2", 0,
+         "d2e68eb27d4b4b87159262ea3b3535b6f47753f2714afa3f07eb4a2f1bf7dfed"),
+        ("--inner-degree 4 --outer-degree 4 --size 3 --symmetric 2 --simple", 0,
+         "db88e056d1bc2e06adf405fa9b5e2f10c0215bd9955a0c1972b6483d9a0b3951"),
+        ("--inner-degree 4 --outer-degree 4 --size 3 --symmetric 2 --simple --distance 1", 0,
+         "ec36e73c308fd7ae87f41221b20eecfef46f558db012f7d80e0b80c1490a27ea"),
+        ("--inner-degree 4 --outer-degree 6 --size 3 --symmetric 3", 0,
+         "9a90fc3c33c5e61dbb7adefcf61e18ebc34bbfd1b00a4ed579206404794d3f67"),
+        ("--inner-degree 3 --outer-degree 3 --size 4", 0,
+         "87dbb09e190fa696b1904d80d496db46ed128a985a0476d4eee23256ac84179c"),
+        ("--inner-degree 3 --outer-degree 6 --size 6 --irreducible", 0,
+         "64e27e23924d795abf7b93ae08c7084b34656f671ec80c6ec4dbec0c7cfb9f3e"),
+        ("--inner-degree 3 --outer-degree 1 --size 5 --pointed", 0,
+         "80fa89d4e304db62078d380c9e2e8f7e713f5c53eddd9ff0f9f03a505a3685a2"),
+        ("--inner-degree 3 --outer-degree 3 --size 2 --symmetric 3 --simple --force --distance 1",
+         0, "a234976639e53cd547f99fb82a5e80e0d3848ce8d3bae65f0a14a41699d1bc06"),
+        ("--inner-degree 3 --outer-degree 6 --size 2 --symmetric 2 --simple --force", 0,
+         "2964742ea4abf1b263a97f913029c0e4b2a0e3074a7b9406efb761918433b7cc"),
+    ]
+
+    @pytest.mark.parametrize("argv,code,digest", OUTPUT_PINS, ids=[p[0] for p in OUTPUT_PINS])
+    def test_output_bytes_are_pinned(self, capsys, argv, code, digest):
+        got, out = run_cli(capsys, "enumerate", *argv.split())
+        assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
+
+    def test_pointed_query_prints_each_witness_map(self, capsys):
+        # the pointed vertex is not printed, so a map with several pointed
+        # classes appears once for each
+        code, out = run_cli(
+            capsys, "enumerate", "--inner-degree", "4", "--outer-degree", "2", "--size", "3",
+            "--pointed",
+        )
+        records = [json.loads(line) for line in out.splitlines()[:-1]]
+        assert code == 0 and len(records) == 81
+        assert len({tuple(r["sigma"]) for r in records}) == 27
+        assert all(r["pointed"] is None and r["rho"] is None for r in records)
+
+    def test_closing_the_pipe_early_is_one_error_line(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        # 9,614 records, far more than a pipe buffer holds
+        argv = ["enumerate", "--inner-degree", "4", "--outer-degree", "4", "--size", "9",
+                "--simple", "--force"]
+        proc = subprocess.Popen([sys.executable, "-m", "mapquot.cli", *argv],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                env={"PYTHONPATH": str(src)})
+        assert proc.stdout.readline().startswith(b'{"k":null,')
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 2
+        assert err == b"error: [Errno 32] Broken pipe\n"
+
     def test_irreducible_hexagon_dissections(self, capsys):
         counts = {}
         for n in (2, 3, 4, 5):
@@ -157,6 +235,27 @@ class TestEnumerateCommand:
             assert code == 0
             counts[n] = json.loads(out)["count"]
         assert counts == {2: 3, 3: 2, 4: 3, 5: 6}
+
+
+# (spec, size, members): generate's sigmas of each kind of query
+BARE_RECORD_FAMILIES = [
+    (DissectionSpec(4, 4, simple=True), 7, 408),
+    (DissectionSpec(4, 4), 5, 810),
+    (DissectionSpec(4, 6, simple=True, irreducible=True), 5, 6),
+    (DissectionSpec(4, 2, pointed=True), 4, 756),
+    (DissectionSpec(4, 4, symmetry_k=2), 3, 81),
+]
+
+
+@pytest.mark.parametrize("spec,size,members", BARE_RECORD_FAMILIES)
+def test_bare_record_is_the_map_record_of_its_sigma(spec, size, members):
+    sigmas = list(census.generate(census.CensusQuery(spec, size)))
+    assert len(sigmas) == members
+    for sigma in sigmas:
+        m = PlaneMap(sigma, 0)
+        line = jsonio.bare_record(sigma)
+        assert line == jsonio.dumps(jsonio.map_record(m))
+        assert jsonio.parse_map(json.loads(line))["map"] == m
 
 
 QUAD, TRI = ["--inner-degree", "4"], ["--inner-degree", "3"]
