@@ -2,16 +2,14 @@
 
 All counts are exact.  Rooted maps are enumerated exactly once by the gluing
 kernel; unrooted objects (plain, pointed, or mark-carrying) are counted as
-equivalence classes of canonical codes, re-rooting along the outer contour
-for plane maps and at every dart for sphere maps.
+equivalence classes of canonical codes, re-rooting along the outer contour.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from types import MappingProxyType
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from mapquot.kernel import Sigmas, kernel_form, run_census
 from mapquot.maps import (
@@ -43,7 +41,6 @@ class SizeCapExceeded(MapError):
 DEFAULT_CAPS = {
     "quad_faces": 7,
     "tri_faces": 10,
-    "quad_2d_inner": 8,
     "tri_1d_inner": 9,
     "symmetric_inner": 9,
 }
@@ -192,25 +189,6 @@ def marked_edge_count(maps) -> int:
     return len(codes)
 
 
-@lru_cache(maxsize=None)
-def two_point_quad_table(n: int) -> Mapping[int, int]:
-    """Sphere quadrangulations with n faces, a marked edge and a marked vertex,
-    counted by the distance i >= 1 from the vertex to the closer edge end:
-    {i: count}, cached for the process and read-only."""
-    table: dict[int, set[bytes]] = {}
-    for m in rooted_sphere_quads(n):
-        rootings = minimal_rootings(m, sphere=True)
-        dist = [distances_from(m, v) for v in range(m.n_vertices)]
-        for e in range(m.n_edges):
-            a, b = m.edge_endpoints(e)
-            for v in range(m.n_vertices):
-                i = min(dist[v][a], dist[v][b])
-                if i >= 1:
-                    code = marked_code(m, rootings, pointed=v, marked_edge=e)
-                    table.setdefault(i, set()).add(code)
-    return MappingProxyType({i: len(c) for i, c in table.items()})
-
-
 def _pointed_classes(
     inner_deg: int,
     n_inner: int,
@@ -281,6 +259,15 @@ def pointed_distance_table(inner_deg: int, n_inner: int) -> dict[int, int]:
     for _, _, i in _pointed_classes(inner_deg, n_inner, None, False):
         table[i] = table.get(i, 0) + 1
     return table
+
+
+def two_point_quad_table(n: int) -> dict[int, int]:
+    """Sphere quadrangulations with n faces, a marked edge and a marked vertex,
+    counted by the distance i >= 1 from the vertex to the closer edge end:
+    {i: count}.  Opening the marked edge into an outer 2-gon is a bijection
+    onto pointed quadrangular 2-dissections with n inner faces, which keeps
+    every distance, so these are counted by pointed_distance_table."""
+    return pointed_distance_table(4, n)
 
 
 # -- symmetric families ------------------------------------------------------
@@ -371,8 +358,8 @@ class CensusQuery:
     Size conventions: symmetric quadrangular families use kn inner faces and
     triangular ones (2n+1)k inner faces; plain quadrangulations and
     triangulations are sized by total faces; 2- and 1-dissections by inner
-    faces.  generate refuses a size past DEFAULT_CAPS unless force, and past
-    MAX_EDGES (UNPRUNED_MAX_EDGES for a non-simple family) always.
+    faces.  generate refuses a size past MAX_EDGES (UNPRUNED_MAX_EDGES for a
+    non-simple family) always, and past DEFAULT_CAPS unless force.
     """
 
     spec: DissectionSpec
@@ -382,16 +369,11 @@ class CensusQuery:
 
 
 def _guard(q: CensusQuery, cap_key: Optional[str], value: int, n_inner: int) -> None:
-    """The size caps, read here and only here: value against the query's
-    default cap unless q.force, then the edges of the family, n_inner inner
-    faces, against MAX_EDGES and UNPRUNED_MAX_EDGES.  A negative n_inner is
-    left for the library to refuse."""
+    """The size caps, read here and only here: the edges of the family,
+    n_inner inner faces, against MAX_EDGES and UNPRUNED_MAX_EDGES, which
+    force does not lift, then value against the query's default cap unless
+    q.force.  A negative n_inner is left for the library to refuse."""
     s = q.spec
-    if cap_key and not q.force and value > DEFAULT_CAPS[cap_key]:
-        raise SizeCapExceeded(
-            f"{cap_key}={value} exceeds the default cap "
-            f"{DEFAULT_CAPS[cap_key]}; pass force=True (--force) to override"
-        )
     darts = s.outer_degree + s.inner_face_degree * n_inner
     edges = darts // 2 if n_inner >= 0 and darts % 2 == 0 else 0
     if edges > MAX_EDGES:
@@ -401,6 +383,11 @@ def _guard(q: CensusQuery, cap_key: Optional[str], value: int, n_inner: int) -> 
         if edges > cap:
             raise SizeCapExceeded(
                 f"{edges} edges exceeds the hard cap of {cap} for a non-simple family")
+    if cap_key and not q.force and value > DEFAULT_CAPS[cap_key]:
+        raise SizeCapExceeded(
+            f"{cap_key}={value} exceeds the default cap "
+            f"{DEFAULT_CAPS[cap_key]}; pass force=True (--force) to override"
+        )
 
 
 def generate(q: CensusQuery) -> Iterator[Sequence[int]]:
@@ -432,7 +419,8 @@ def generate(q: CensusQuery) -> Iterator[Sequence[int]]:
             yield sm.plane_map.sigma
         return
     if s.pointed:
-        _guard(q, "quad_2d_inner" if d == 4 else "tri_1d_inner", q.size, q.size)
+        # the hard cap of the pointed quadrangular families (size 7) decides alone
+        _guard(q, None if d == 4 else "tri_1d_inner", q.size, q.size)
         for m, _, _ in _pointed_classes(d, q.size, q.distance, s.quasi_simple):
             assert m.root_dart == 0
             yield m.sigma

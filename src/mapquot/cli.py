@@ -46,28 +46,17 @@ def _series_payload(name: str, ts: S.TruncSeries) -> dict:
     }
 
 
-def _two_point_payload(args) -> dict:
-    ts = S.two_point(args.family, args.i, args.order)
-    payload = _series_payload(f"two_point[{args.family}, i={args.i}]", ts)
-    quad = args.family.startswith("quad")  # the size conventions of S.two_point
-    payload["size_convention"] = "(inner faces)/k" if quad else "n, with (2n+1)k inner faces"
-    return payload
-
-
 def cmd_series(args) -> int:
-    if args.name == "two_point":
-        if args.family is None or args.i is None:
-            print("error: --name two_point needs --family and --i", file=sys.stderr)
-            return 2
-        _emit(_two_point_payload(args))
-        return 0
     ts = S.named(args.name, args.order)
     _emit(_series_payload(args.name, ts))
     return 0
 
 
 def cmd_two_point(args) -> int:
-    payload = _two_point_payload(args)
+    ts = S.two_point(args.family, args.i, args.order)
+    payload = _series_payload(f"two_point[{args.family}, i={args.i}]", ts)
+    quad = args.family.startswith("quad")  # the size conventions of S.two_point
+    payload["size_convention"] = "(inner faces)/k" if quad else "n, with (2n+1)k inner faces"
     payload["family"] = args.family
     payload["distance"] = args.i
     _emit(payload)
@@ -168,10 +157,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("series", help="print a catalogue series as JSON")
-    p.add_argument("--name", required=True, choices=sorted(S.SERIES_INFO) + ["two_point"])
+    p.add_argument("--name", required=True, choices=sorted(S.SERIES_INFO))
     p.add_argument("--order", type=int, default=12)
-    p.add_argument("--family", choices=S.TWO_POINT_FAMILIES, default=None)
-    p.add_argument("--i", type=int, default=None)
     p.set_defaults(fn=cmd_series)
 
     p = sub.add_parser("two-point", help="distance-refined generating series")

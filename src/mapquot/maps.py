@@ -475,13 +475,11 @@ def canonical_code(
     return code + _marks(m, label, pointed, marked_edge)
 
 
-def minimal_rootings(m: PlaneMap, sphere: bool = False) -> tuple[bytes, list[list[int]]]:
-    """Least bare code over admissible re-rootings, and the dart labels of each
-    root reaching it.  Plane maps re-root along the outer contour only; sphere
-    objects at every dart (the left face of the new root becomes the outer face).
-    """
+def minimal_rootings(m: PlaneMap) -> tuple[bytes, list[list[int]]]:
+    """Least bare code over the re-rootings along the outer contour, and the
+    dart labels of each root reaching it."""
     best, labels = None, []
-    for r in range(m.n_darts) if sphere else m.faces[m.outer_face]:
+    for r in m.faces[m.outer_face]:
         code, label = _bfs_code(m, r)
         if best is None or code < best:
             best, labels = code, [label]

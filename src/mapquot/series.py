@@ -33,10 +33,6 @@ class InnerNotNilpotent(SeriesError):
     pass
 
 
-class BadConstantTerm(SeriesError):
-    pass
-
-
 class NonContractive(SeriesError):
     pass
 
@@ -242,20 +238,6 @@ class TruncSeries:
             result = result * inner.truncate(n) + self.coeffs[i]
         return result
 
-    def sqrt(self) -> "TruncSeries":
-        """Square root of a series with constant term 1."""
-        if self.coeffs[0] != 1:
-            raise BadConstantTerm("sqrt requires constant term 1")
-        n = self.order
-        out = [0] * (n + 1)
-        out[0] = 1
-        for i in range(1, n + 1):
-            acc = self.coeffs[i]
-            for j in range(1, i):
-                acc -= out[j] * out[i - j]
-            out[i] = _div(acc, 2)
-        return TruncSeries(out)
-
     def integer_coefficients(self) -> list[int]:
         """Coefficients as ints; raises if any is not a non-negative integer."""
         out = []
@@ -414,6 +396,12 @@ def _alg_Q_tri(order):
     return 0, lambda Q: Q * (1 - Q) ** 3 - y
 
 
+def _alg_Qt_tri(order):
+    Q = named("Q_tri", order)
+    # the square root of 1 + 8Q with constant term 1
+    return 1, lambda Qt: Qt * Qt - (1 + 8 * Q)
+
+
 def _alg_Y_tri(order):
     Q = named("Q_tri", order)
     # cleared form of Y + 1/Y + 2 = 1/Q
@@ -423,6 +411,12 @@ def _alg_Y_tri(order):
 def _alg_R_tri(order):
     z = _x(order)
     return 0, lambda R: R * (1 - R) ** 2 - z
+
+
+def _alg_Rt_tri(order):
+    R = named("R_tri", order)
+    # the square root of (1 + 9R)/(1 + R) with constant term 1
+    return 1, lambda Rt: (1 + R) * Rt * Rt - (1 + 9 * R)
 
 
 def _alg_Z_tri(order):
@@ -443,8 +437,10 @@ _ALGEBRAIC = {
     "P_tri": _alg_P_tri,
     "X_tri": _alg_X_tri,
     "Q_tri": _alg_Q_tri,
+    "Qt_tri": _alg_Qt_tri,
     "Y_tri": _alg_Y_tri,
     "R_tri": _alg_R_tri,
+    "Rt_tri": _alg_Rt_tri,
     "Z_tri": _alg_Z_tri,
 }
 
@@ -483,16 +479,6 @@ def _build_f_tri(order):
 def _build_g_tri(order):
     Q = named("Q_tri", order)
     return Q - 2 * Q * Q
-
-
-def _build_Qt_tri(order):
-    Q = named("Q_tri", order)
-    return (1 + 8 * Q).sqrt()
-
-
-def _build_Rt_tri(order):
-    R = named("R_tri", order)
-    return (1 + 9 * R).sqrt().divide((1 + R).sqrt())
 
 
 def _build_a_vertex(order):
@@ -575,8 +561,6 @@ _BUILDERS: dict[str, Callable[[int], TruncSeries]] = {
     "g_quad": _build_g_quad,
     "f_tri": _build_f_tri,
     "g_tri": _build_g_tri,
-    "Qt_tri": _build_Qt_tri,
-    "Rt_tri": _build_Rt_tri,
     "a_vertex": _build_a_vertex,
     "a_edge": _build_a_edge,
     "d_quad": _build_d_quad,

@@ -13,11 +13,11 @@ from mapquot.maps import (
     is_irreducible,
     is_quasi_simple,
     is_simple,
-    marked_code,
-    minimal_rootings,
     radial_distance,
     unrooted_code,
 )
+
+import two_point_oracle
 
 # frozen counts; the golden q/t values also appear in the acceptance suite
 Q_SIMPLE = {2: 1, 3: 2, 4: 6, 5: 22, 6: 91, 7: 408}
@@ -115,29 +115,16 @@ class TestTwoPoint:
             assert table.get(i, 0) == count
         assert table.get(2 * n + 1, 0) == 0
 
-    def test_cross_footing(self):
-        # each (map, vertex, edge) class has one distance, so the buckets
-        # partition the classes at distance >= 1
-        for n in (2, 3):
-            classes = set()
-            for m in census.rooted_sphere_quads(n):
-                rootings = minimal_rootings(m, sphere=True)
-                dist = [distances_from(m, v) for v in range(m.n_vertices)]
-                for e in range(m.n_edges):
-                    a, b = m.edge_endpoints(e)
-                    classes |= {
-                        marked_code(m, rootings, pointed=v, marked_edge=e)
-                        for v in range(m.n_vertices)
-                        if min(dist[v][a], dist[v][b]) >= 1
-                    }
-            assert len(classes) == sum(census.two_point_quad_table(n).values())
-
-    def test_contraction_matches_pointed_dissections(self):
-        # contracting the outer 2-gon is a bijection onto marked sphere maps
-        for n in (1, 2, 3):
-            table = census.two_point_quad_table(n)
-            for i in (1, 2, 3):
-                assert table.get(i, 0) == census.count_pointed_dissections(4, n, distance=i)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_table_equals_sphere_scan(self, n):
+        # opening the marked edge into an outer 2-gon is a bijection onto
+        # pointed quadrangular 2-dissections that keeps every distance
+        expected = two_point_oracle.two_point_quad_table(n)
+        assert expected
+        assert census.two_point_quad_table(n) == expected
+        if n <= 3:  # and so is the distance filter of the pointed census
+            for i in range(1, 2 * n + 2):
+                assert census.count_pointed_dissections(4, n, distance=i) == expected.get(i, 0)
 
 
 def oracle_pointed_classes(inner_deg, n_inner):

@@ -2,6 +2,7 @@ import concurrent.futures
 import hashlib
 import io
 import json
+import re
 import shlex
 import subprocess
 import sys
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mapquot import census, jsonio, verify
-from mapquot.cli import main
+from mapquot.cli import build_parser, main
 from mapquot.maps import DissectionSpec, PlaneMap, unrooted_code
 from mapquot.quotient import phi, phi_tri
 
@@ -42,16 +43,35 @@ def assert_usage_error(code, out, err, message):
     assert "Traceback" not in err
 
 
-def test_readme_commands_exit_0(capsys):
-    """Every README "Command line" example that reads no stdin succeeds."""
+def readme_command_lines():
+    """The `mapquot` lines of README's "Command line" block."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
-    commands = [shlex.split(line, comments=True) for line in block.splitlines()]
+    return [line for line in block.splitlines() if line.startswith("mapquot ")]
+
+
+def test_readme_commands_exit_0(capsys):
+    """Every README "Command line" example that reads no stdin succeeds."""
+    commands = [shlex.split(line, comments=True) for line in readme_command_lines()]
     commands = [argv for argv in commands if argv[1] in ("series", "two-point", "enumerate")]
     assert [argv[1] for argv in commands] == ["series", "two-point", "enumerate", "enumerate"]
     for argv in commands:
         code = main(argv[1:])
         assert code == 0, (" ".join(argv), capsys.readouterr().err)
+
+
+def test_readme_command_lines_parse():
+    """Every README command line, without its comment, redirections and
+    [optional] groups, is accepted by the parser."""
+    lines = readme_command_lines()
+    assert len(lines) == 10
+    parser = build_parser()
+    for line in lines:
+        argv = shlex.split(re.sub(r"\[[^]]*\]", "", line), comments=True)
+        while "<" in argv or ">" in argv:
+            i = next(j for j, word in enumerate(argv) if word in ("<", ">"))
+            del argv[i:i + 2]
+        parser.parse_args(argv[1:])
 
 
 class TestSeriesCommand:
@@ -72,19 +92,21 @@ class TestSeriesCommand:
     def test_two_point_size_conventions(self, capsys):
         _, out = run_cli(capsys, "two-point", "--family", "quad_simple", "--i", "1", "--order", "4")
         assert json.loads(out)["size_convention"] == "(inner faces)/k"
-        _, out = run_cli(
-            capsys, "series", "--name", "two_point", "--family", "tri_irred", "--i", "2",
-            "--order", "4",
-        )
+        _, out = run_cli(capsys, "two-point", "--family", "tri_irred", "--i", "2", "--order", "4")
         assert json.loads(out)["size_convention"] == "n, with (2n+1)k inner faces"
 
-    @pytest.mark.parametrize("extra", [(), ("--i", "2"), ("--family", "quad")],
-                             ids=["neither", "no-family", "no-i"])
-    def test_two_point_name_needs_family_and_i(self, capsys, extra):
-        code = main(["series", "--name", "two_point", *extra])
+    def test_two_point_is_no_series_name(self, capsys):
+        # `two-point` is the one route to the distance-refined series
+        with pytest.raises(SystemExit) as exc:
+            main(["series", "--name", "two_point", "--family", "quad", "--i", "1"])
         captured = capsys.readouterr()
-        assert_usage_error(code, captured.out, captured.err,
-                           "--name two_point needs --family and --i")
+        assert exc.value.code == 2
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert errors[0].startswith("mapquot series: error: argument --name: invalid choice: "
+                                    "'two_point'")
+        assert "Traceback" not in captured.err
 
     def test_deterministic_output(self, capsys):
         _, out1 = run_cli(capsys, "series", "--name", "t", "--order", "10")
@@ -156,6 +178,21 @@ class TestEnumerateCommand:
         ])
         captured = capsys.readouterr()
         assert_usage_error(code, captured.out, captured.err, "19 edges exceeds the hard cap of 15")
+
+    @pytest.mark.parametrize("argv,message", [
+        ("--inner-degree 4 --outer-degree 2 --size 9 --pointed",
+         "19 edges exceeds the hard cap of 15 for a non-simple family"),
+        ("--inner-degree 4 --outer-degree 4 --size 10",
+         "20 edges exceeds the hard cap of 18 for a non-simple family"),
+        ("--inner-degree 3 --outer-degree 3 --size 40 --simple",
+         "60 edges exceeds the hard cap of 24"),
+    ], ids=["pointed", "plain", "simple"])
+    def test_hard_cap_is_reported_before_the_default_cap(self, capsys, argv, message):
+        # past both caps, the refusal names the one that --force cannot lift
+        code = main(["enumerate", *argv.split()])
+        captured = capsys.readouterr()
+        assert_usage_error(code, captured.out, captured.err, message)
+        assert "--force" not in captured.err
 
     # (argv, exit code, sha256 of stdout): the bytes of each kind of stream
     OUTPUT_PINS = [
@@ -304,7 +341,6 @@ def test_size_0_error_names_the_size_given(capsys, family):
 @pytest.mark.parametrize("argv", [
     ["series", "--name", "P_quad", "--order", "-2"],
     ["series", "--name", "q", "--order", "-1"],
-    ["series", "--name", "two_point", "--family", "quad", "--i", "1", "--order", "-1"],
     ["two-point", "--family", "quad", "--i", "1", "--order", "-3"],
 ])
 def test_negative_order_is_a_usage_error(capsys, argv):

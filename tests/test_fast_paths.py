@@ -35,11 +35,10 @@ from fixtures import FAMILIES, relabel
 from rotation_oracle import find_rotation_automorphisms, least_rotation
 
 
-def oracle_unrooted_code(m, pointed=None, marked_edge=None, sphere=False):
-    roots = range(m.n_darts) if sphere else m.faces[m.outer_face]
+def oracle_unrooted_code(m, pointed=None, marked_edge=None):
     return min(
         canonical_code(m, root=r, pointed=pointed, marked_edge=marked_edge)
-        for r in roots
+        for r in m.faces[m.outer_face]
     )
 
 
@@ -265,18 +264,17 @@ def test_size_cap_still_fires():
         members(DissectionSpec(4, 8, symmetry_k=3), 4, force=True)
 
 
-@pytest.mark.parametrize("name,family,sphere,ties", FAMILIES, ids=[f[0] for f in FAMILIES])
-def test_unrooted_code_matches_oracle(name, family, sphere, ties):
+@pytest.mark.parametrize("name,family,ties", FAMILIES, ids=[f[0] for f in FAMILIES])
+def test_unrooted_code_matches_oracle(name, family, ties):
     fam = family()
     assert fam
     tied = 0  # maps with several minimal roots, where the marks break the tie
     for m in fam:
-        rootings = minimal_rootings(m, sphere)
+        rootings = minimal_rootings(m)
         tied += len(rootings[1]) > 1
         for v in (None, *range(m.n_vertices)):
             for e in (None, *range(m.n_edges)):
-                expect = oracle_unrooted_code(m, pointed=v, marked_edge=e, sphere=sphere)
-                if not sphere:  # sphere codes come from minimal_rootings(m, sphere=True)
-                    assert unrooted_code(m, pointed=v, marked_edge=e) == expect
+                expect = oracle_unrooted_code(m, pointed=v, marked_edge=e)
+                assert unrooted_code(m, pointed=v, marked_edge=e) == expect
                 assert marked_code(m, rootings, pointed=v, marked_edge=e) == expect
     assert bool(tied) == ties

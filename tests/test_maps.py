@@ -28,6 +28,7 @@ from mapquot.maps import (
 import cycle_oracle
 from fixtures import (
     FAMILIES,
+    SPHERE_FAMILIES,
     cube,
     face_degrees,
     hexagon_wheel,
@@ -168,7 +169,8 @@ class TestPredicates:
         assert faces == frozenset({1 - m.outer_face})
         assert inside == frozenset()
 
-    @pytest.mark.parametrize("family", [f[1] for f in FAMILIES], ids=[f[0] for f in FAMILIES])
+    @pytest.mark.parametrize("family", [f[1] for f in FAMILIES + SPHERE_FAMILIES],
+                             ids=[f[0] for f in FAMILIES + SPHERE_FAMILIES])
     def test_simple_cycles_match_oracle(self, family):
         fam = family()
         assert fam

@@ -31,7 +31,7 @@ def test_newton_matches_order_by_order_oracle():
             expected = order_by_order(residual, order, start)
             assert S.named(name, order).coeffs == expected.coeffs, (name, order)
             seen.add(name)
-    assert len(seen) == 14
+    assert len(seen) == 16
 
 
 def test_q_and_t_to_order_120():

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from mapquot import series as S
 from mapquot.series import (
-    BadConstantTerm,
     BadDistance,
     DivisorNotUnit,
     InnerNotNilpotent,
@@ -142,14 +141,6 @@ class TestArithmetic:
         with pytest.raises(InnerNotNilpotent):
             TruncSeries.x(4).compose(TruncSeries([1, 1, 0, 0, 0]))
 
-    def test_sqrt(self):
-        assert ints(TruncSeries.const(1, 5).sqrt()) == [1, 0, 0, 0, 0, 0]
-        a = TruncSeries([1, 4, 2, -3, 7])
-        s = a.sqrt()
-        assert s * s == a
-        with pytest.raises(BadConstantTerm):
-            TruncSeries([2, 1]).sqrt()
-
     def test_shift(self):
         s = TruncSeries([0, 0, 3, 1])
         assert ints(s.shift(-2)) == [3, 1]
@@ -201,9 +192,6 @@ class TestExactCoefficients:
         halves = TruncSeries([1, 1, 0]).divide(TruncSeries([2, 0, 0]))
         assert halves.coeffs == (Fraction(1, 2), Fraction(1, 2), 0)
         assert [type(c) for c in (halves * 2).divide(TruncSeries([1, 1, 0])).coeffs] == [int] * 3
-        root = TruncSeries([1, 1, 0]).sqrt()
-        assert root.coeffs == (1, Fraction(1, 2), Fraction(-1, 8))
-        assert [type(c) for c in (root * root).coeffs] == [int, int, int]
         assert TruncSeries([1, 1, 1]).integrate().coeffs == (0, 1, Fraction(1, 2), Fraction(1, 3))
 
     def test_indexing_returns_fractions(self):

@@ -148,12 +148,20 @@ def test_closed_forms_name_the_broken_coefficient(monkeypatch):
     assert detail == "failed: t a4^2 = (a4 - 2)(1 - a4), t[7] factorial"
 
 
-def test_series_golden_is_timed_from_a_cold_cache():
+def test_series_golden_is_timed_from_a_cold_cache(monkeypatch):
+    # the check builds q and t afresh, past the named cache, and leaves the
+    # cache as it was, even when q is already in it
     S.named("q", 30)
+    before = S.named.cache_info()
+    built = []
+    for name in ("q", "t"):
+        real = S._BUILDERS[name]
+        monkeypatch.setitem(S._BUILDERS, name,
+                            lambda order, real=real, name=name: built.append(name) or real(order))
     ok, _ = verify.check_series_golden()
-    info = S.named.cache_info()
     assert ok
-    assert (info.hits, info.misses) == (0, 2)
+    assert S.named.cache_info() == before
+    assert built == ["q", "t"]
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
