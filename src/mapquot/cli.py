@@ -32,8 +32,7 @@ def _emit(obj, args=None) -> None:
         sys.stdout.write(text)
 
 
-def _series_payload(name: str, ts: S.TruncSeries) -> dict:
-    variable, convention = S.SERIES_INFO.get(name, ("x", "catalogue series"))
+def _series_payload(name: str, variable: str, convention: str, ts: S.TruncSeries) -> dict:
     return {
         "name": name,
         "variable": variable,
@@ -48,15 +47,16 @@ def _series_payload(name: str, ts: S.TruncSeries) -> dict:
 
 def cmd_series(args) -> int:
     ts = S.named(args.name, args.order)
-    _emit(_series_payload(args.name, ts))
+    entry = S.CATALOGUE[args.name]
+    _emit(_series_payload(args.name, entry.variable, entry.convention, ts))
     return 0
 
 
 def cmd_two_point(args) -> int:
     ts = S.two_point(args.family, args.i, args.order)
-    payload = _series_payload(f"two_point[{args.family}, i={args.i}]", ts)
     quad = args.family.startswith("quad")  # the size conventions of S.two_point
-    payload["size_convention"] = "(inner faces)/k" if quad else "n, with (2n+1)k inner faces"
+    convention = "(inner faces)/k" if quad else "n, with (2n+1)k inner faces"
+    payload = _series_payload(f"two_point[{args.family}, i={args.i}]", "x", convention, ts)
     payload["family"] = args.family
     payload["distance"] = args.i
     _emit(payload)
@@ -157,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("series", help="print a catalogue series as JSON")
-    p.add_argument("--name", required=True, choices=sorted(S.SERIES_INFO))
+    p.add_argument("--name", required=True, choices=sorted(S.CATALOGUE))
     p.add_argument("--order", type=int, default=12)
     p.set_defaults(fn=cmd_series)
 
@@ -214,7 +214,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.fn(args)
-    except (MapError, S.SeriesError, census.SizeCapExceeded, OSError) as exc:
+    except (MapError, S.SeriesError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except json.JSONDecodeError as exc:

@@ -1,12 +1,14 @@
 """Truncated formal power series with exact coefficients (ints where integral,
 Fractions otherwise), and the catalogue of counting series for planar dissections.
 
-Each algebraic series is defined by the residual of its equation alone and
-solved from it by one solver, Newton iteration with doubling precision, which
-checks the residual of the result.  `q` and `t` are the integrals of their
-derivatives, which are algebraic and solved the same way; the rest is built
-by series arithmetic.  Counting series are verified to have non-negative
-integer coefficients before being exposed as counts.
+Each catalogue series is declared once, on its definition, with its
+variable and size convention.  Each algebraic series is defined by the
+residual of its equation alone and solved from it by one solver, Newton
+iteration with doubling precision, which checks the residual of the result.
+`q` and `t` are the integrals of their derivatives, which are algebraic and
+solved the same way; the rest is built by series arithmetic.  Counting series
+are verified to have non-negative integer coefficients before being exposed
+as counts.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 
 class SeriesError(ValueError):
@@ -282,169 +284,161 @@ def fixpoint_solve(
 
 # -- the catalogue -----------------------------------------------------------
 
-#: size conventions for the named series (emitted as CLI metadata)
-SERIES_INFO = {
-    "q": ("x", "total faces of rooted simple quadrangulations"),
-    "t": ("x", "half the faces of rooted simple triangulations"),
-    "alpha_ternary": ("x", "nodes of rooted ternary trees"),
-    "alpha_quaternary": ("x", "nodes of rooted quaternary trees"),
-    "P_quad": ("x", "auxiliary algebraic series, quadrangular two-point kernel"),
-    "X_quad": ("x", "distance variable, quadrangular two-point kernel"),
-    "f_quad": ("x", "faces of rooted sphere quadrangulations"),
-    "Q_quad": ("y", "auxiliary algebraic series, simple quadrangular kernel"),
-    "Y_quad": ("y", "distance variable, simple quadrangular kernel"),
-    "g_quad": ("y", "inner faces of rooted simple quadrangulations"),
-    "R_quad": ("z", "auxiliary algebraic series, irreducible quadrangular kernel"),
-    "Z_quad": ("z", "distance variable, irreducible quadrangular kernel"),
-    "P_tri": ("x", "auxiliary algebraic series, triangular two-point kernel"),
-    "X_tri": ("x", "distance variable, triangular two-point kernel"),
-    "f_tri": ("x", "half the faces of simply-rooted sphere triangulations"),
-    "Q_tri": ("y", "auxiliary algebraic series, simple triangular kernel"),
-    "Qt_tri": ("y", "square-root companion of Q_tri"),
-    "Y_tri": ("y", "distance variable, simple triangular kernel"),
-    "g_tri": ("y", "half the faces of rooted simple triangulations"),
-    "R_tri": ("z", "auxiliary algebraic series, irreducible triangular kernel"),
-    "Rt_tri": ("z", "square-root companion of R_tri"),
-    "Z_tri": ("z", "distance variable, irreducible triangular kernel"),
-    "a_vertex": ("x", "quadrangular 2-dissections, marked inner vertex, outer 2-cycle unique"),
-    "a_edge": ("x", "quadrangular 2-dissections, marked inner edge, outer 2-cycle unique"),
-    "d_quad": ("x", "rooted quasi-simple pointed quadrangular 2-dissections, inner faces"),
-    "s_tri": ("x", "simple triangulations with a marked edge, half faces"),
-    "t_vertex": ("x", "rooted simple triangulations, marked inner vertex, half faces"),
-    "t_edge": ("x", "rooted simple triangulations, marked inner edge, half faces"),
-    "t_rootedge": ("x", "rooted simple triangulations, marked inner edge at root vertex, half faces"),
-    "u_tri": ("x", "quasi-simple rooted triangular 2-dissections, no loop at root, half faces"),
-    "v_tri": ("x", "quasi-simple rooted triangular 2-dissections, half faces"),
-    "d3_tri": ("x", "quasi-simple pointed triangular 1-dissections, half faces"),
-}
+
+class Entry(NamedTuple):
+    """A catalogue series: its variable, what its coefficients count and by
+    which size, and its builder, order -> the series truncated there."""
+
+    variable: str
+    convention: str
+    build: Callable[[int], TruncSeries]
+
+
+#: every catalogue series by name, each declared once below, on its definition
+CATALOGUE: dict[str, Entry] = {}
+
+#: name -> its algebraic definition, order -> (constant term of the root, residual)
+_ALGEBRAIC: dict[str, Callable[[int], tuple]] = {}
+
+
+def _series(name: str, variable: str, convention: str):
+    """Declare the decorated builder as the catalogue series `name`."""
+
+    def declare(build):
+        CATALOGUE[name] = Entry(variable, convention, build)
+        return build
+
+    return declare
+
+
+def _algebraic(name: str, variable: str, convention: str):
+    """Declare the decorated algebraic definition as the catalogue series
+    `name`, which Newton iteration solves from it."""
+
+    def declare(definition):
+        _ALGEBRAIC[name] = definition
+
+        def build(order):
+            start, residual = definition(order)
+            return fixpoint_solve(residual, order, start, name)
+
+        _series(name, variable, convention)(build)
+        return definition
+
+    return declare
 
 
 @lru_cache(maxsize=None)
 def named(name: str, order: int) -> TruncSeries:
     """The catalogue entry `name` truncated at `order`."""
-    builder = _BUILDERS.get(name)
-    if builder is None:
+    entry = CATALOGUE.get(name)
+    if entry is None:
         raise UnknownName(f"no series named {name!r}")
-    return builder(order)
-
-
-def _one(order: int) -> TruncSeries:
-    return TruncSeries.const(1, order)
+    return entry.build(order)
 
 
 def _x(order: int) -> TruncSeries:
     return TruncSeries.x(order)
 
 
-# algebraic definitions: each returns (constant term of the root, residual)
-
-
+@_algebraic("P_quad", "x", "auxiliary algebraic series, quadrangular two-point kernel")
 def _alg_P_quad(order):
     x = _x(order)
     return 1, lambda P: P - 1 - 3 * x * P * P
 
 
+@_algebraic("alpha_ternary", "x", "nodes of rooted ternary trees")
+@_algebraic("Q_quad", "y", "auxiliary algebraic series, simple quadrangular kernel")
 def _alg_alpha_ternary(order):
     x = _x(order)
     return 1, lambda a: a - 1 - x * a**3
 
 
+@_algebraic("alpha_quaternary", "x", "nodes of rooted quaternary trees")
 def _alg_alpha_quaternary(order):
     x = _x(order)
     return 1, lambda a: a - 1 - x * a**4
 
 
+@_algebraic("X_quad", "x", "distance variable, quadrangular two-point kernel")
 def _alg_X_quad(order):
     P = named("P_quad", order)
     # cleared form of X + 1/X + 1 = 3/(P-1)
     return 0, lambda X: (P - 1) * (X * X + X + 1) - 3 * X
 
 
-def _alg_Q_quad(order):
-    y = _x(order)
-    return 1, lambda Q: Q - 1 - y * Q**3
-
-
+@_algebraic("Y_quad", "y", "distance variable, simple quadrangular kernel")
 def _alg_Y_quad(order):
     Q = named("Q_quad", order)
     return 0, lambda Y: (Q - 1) * (Y * Y + 1) - Y
 
 
+@_algebraic("R_quad", "z", "auxiliary algebraic series, irreducible quadrangular kernel")
 def _alg_R_quad(order):
     z = _x(order)
     return 0, lambda R: R - z - R * R
 
 
+@_algebraic("Z_quad", "z", "distance variable, irreducible quadrangular kernel")
 def _alg_Z_quad(order):
     R = named("R_quad", order)
     return 0, lambda Z: R * (Z * Z + 1) - Z
 
 
+@_algebraic("P_tri", "x", "auxiliary algebraic series, triangular two-point kernel")
 def _alg_P_tri(order):
     x = _x(order)
     return 1, lambda P: P * P - 1 - 8 * x * P**3
 
 
+@_algebraic("X_tri", "x", "distance variable, triangular two-point kernel")
 def _alg_X_tri(order):
     P = named("P_tri", order)
     # cleared form of X + 1/X + 2 = 8/(P^2-1)
     return 0, lambda X: (P * P - 1) * (X + 1) ** 2 - 8 * X
 
 
+@_algebraic("Q_tri", "y", "auxiliary algebraic series, simple triangular kernel")
 def _alg_Q_tri(order):
     y = _x(order)
     return 0, lambda Q: Q * (1 - Q) ** 3 - y
 
 
+@_algebraic("Qt_tri", "y", "square-root companion of Q_tri")
 def _alg_Qt_tri(order):
     Q = named("Q_tri", order)
     # the square root of 1 + 8Q with constant term 1
     return 1, lambda Qt: Qt * Qt - (1 + 8 * Q)
 
 
+@_algebraic("Y_tri", "y", "distance variable, simple triangular kernel")
 def _alg_Y_tri(order):
     Q = named("Q_tri", order)
     # cleared form of Y + 1/Y + 2 = 1/Q
     return 0, lambda Y: Q * (Y + 1) ** 2 - Y
 
 
+@_algebraic("R_tri", "z", "auxiliary algebraic series, irreducible triangular kernel")
 def _alg_R_tri(order):
     z = _x(order)
     return 0, lambda R: R * (1 - R) ** 2 - z
 
 
+@_algebraic("Rt_tri", "z", "square-root companion of R_tri")
 def _alg_Rt_tri(order):
     R = named("R_tri", order)
     # the square root of (1 + 9R)/(1 + R) with constant term 1
     return 1, lambda Rt: (1 + R) * Rt * Rt - (1 + 9 * R)
 
 
+@_algebraic("Z_tri", "z", "distance variable, irreducible triangular kernel")
 def _alg_Z_tri(order):
     R = named("R_tri", order)
     # cleared form of Z + 1/Z + 1 = 1/R
     return 0, lambda Z: R * (Z * Z + Z + 1) - Z
 
 
-_ALGEBRAIC = {
-    "P_quad": _alg_P_quad,
-    "alpha_ternary": _alg_alpha_ternary,
-    "alpha_quaternary": _alg_alpha_quaternary,
-    "X_quad": _alg_X_quad,
-    "Q_quad": _alg_Q_quad,
-    "Y_quad": _alg_Y_quad,
-    "R_quad": _alg_R_quad,
-    "Z_quad": _alg_Z_quad,
-    "P_tri": _alg_P_tri,
-    "X_tri": _alg_X_tri,
-    "Q_tri": _alg_Q_tri,
-    "Qt_tri": _alg_Qt_tri,
-    "Y_tri": _alg_Y_tri,
-    "R_tri": _alg_R_tri,
-    "Rt_tri": _alg_Rt_tri,
-    "Z_tri": _alg_Z_tri,
-}
-
-
+@_series("q", "x", "total faces of rooted simple quadrangulations")
 def _build_q(order):
     """Rooted simple quadrangulations by total faces: q' = 2 a3 - 2 with
     a3 = 1 + x a3^3, so q' is the root of 4q' = x(q' + 2)^3 with q'(0) = 0."""
@@ -453,6 +447,7 @@ def _build_q(order):
     return r.integrate().truncate(order)
 
 
+@_series("t", "x", "half the faces of rooted simple triangulations")
 def _build_t(order):
     """Rooted simple triangulations by half the face count: t' = a4^2 with
     a4 = 1 + x a4^4, so t' is the root of (x t'^2 + 1)^2 = t' with t'(0) = 1."""
@@ -461,52 +456,66 @@ def _build_t(order):
     return r.integrate().truncate(order)
 
 
+@_series("f_quad", "x", "faces of rooted sphere quadrangulations")
 def _build_f_quad(order):
     P = named("P_quad", order)
     return P * (4 - P) / 3 - 1
 
 
+@_series("g_quad", "y", "inner faces of rooted simple quadrangulations")
 def _build_g_quad(order):
     Q = named("Q_quad", order)
     return 3 * Q - Q * Q - 2
 
 
+@_series("f_tri", "x", "half the faces of simply-rooted sphere triangulations")
 def _build_f_tri(order):
     P = named("P_tri", order)
     return -P * (P * P - 9) / 8 - 1
 
 
+@_series("g_tri", "y", "half the faces of rooted simple triangulations")
 def _build_g_tri(order):
     Q = named("Q_tri", order)
     return Q - 2 * Q * Q
 
 
+@_series("a_vertex", "x", "quadrangular 2-dissections, marked inner vertex, outer 2-cycle unique")
 def _build_a_vertex(order):
     q = named("q", order + 1)
     x = _x(order)
     return 2 * x + x * q.derivative()
 
 
+@_series("a_edge", "x", "quadrangular 2-dissections, marked inner edge, outer 2-cycle unique")
 def _build_a_edge(order):
     q = named("q", order + 1)
     x = _x(order)
     return 2 * x + 2 * x * q.derivative() - q.truncate(order)
 
 
+@_series("d_quad", "x", "rooted quasi-simple pointed quadrangular 2-dissections, inner faces")
 def _build_d_quad(order):
     return named("a_vertex", order).divide(1 - named("a_edge", order))
 
 
+@_series("t_vertex", "x",
+         "rooted simple triangulations, marked vertex off the root edge, half faces")
+@_series("s_tri", "x", "simple triangulations with a marked edge, half faces")
 def _build_s_tri(order):
     t = named("t", order + 1)
     return _x(order) * t.derivative()
 
 
+@_series("t_edge", "x",
+         "rooted simple triangulations, marked edge other than the root edge, half faces")
 def _build_t_edge(order):
     t = named("t", order)
     return 3 * _build_s_tri(order) - t
 
 
+@_series("t_rootedge", "x", "rooted simple triangulations, marked edge at the root vertex "
+         "other than the root edge, half faces")
 def _build_t_rootedge(order):
     # the valuation-cancelling division costs one order of precision
     t = named("t", order + 1)
@@ -519,11 +528,10 @@ def _uv_system(order):
     tv = named("t_vertex", order)
     te = named("t_edge", order)
     tr = named("t_rootedge", order)
-    one = _one(order)
     # u = tv + x(1+u) + tr*u + (te - tr)*v
     # v = tv + 2x(1+u) + te*v
     # eliminate v, then solve the unit-coefficient linear equation for u
-    inv = one.divide(1 - te)
+    inv = 1 / (1 - te)
     coef_u = 1 - x - tr - (te - tr) * 2 * x * inv
     rhs = tv + x + (te - tr) * (tv + 2 * x) * inv
     u = rhs.divide(coef_u)
@@ -531,14 +539,17 @@ def _uv_system(order):
     return u, v
 
 
+@_series("u_tri", "x", "quasi-simple rooted triangular 2-dissections, no loop at root, half faces")
 def _build_u_tri(order):
     return _uv_system(order)[0]
 
 
+@_series("v_tri", "x", "quasi-simple rooted triangular 2-dissections, half faces")
 def _build_v_tri(order):
     return _uv_system(order)[1]
 
 
+@_series("d3_tri", "x", "quasi-simple pointed triangular 1-dissections, half faces")
 def _build_d3_tri(order):
     return _x(order) * (1 + named("u_tri", order))
 
@@ -552,35 +563,6 @@ def d3_closed_form(order: int) -> TruncSeries:
     num = x * (1 + t - 2 * x * tp)
     den = 1 - 2 * x + 2 * t - 3 * x * tp + t * t - 3 * x * tp * t
     return num.divide(den)
-
-
-_BUILDERS: dict[str, Callable[[int], TruncSeries]] = {
-    "q": _build_q,
-    "t": _build_t,
-    "f_quad": _build_f_quad,
-    "g_quad": _build_g_quad,
-    "f_tri": _build_f_tri,
-    "g_tri": _build_g_tri,
-    "a_vertex": _build_a_vertex,
-    "a_edge": _build_a_edge,
-    "d_quad": _build_d_quad,
-    "s_tri": _build_s_tri,
-    "t_vertex": _build_s_tri,
-    "t_edge": _build_t_edge,
-    "t_rootedge": _build_t_rootedge,
-    "u_tri": _build_u_tri,
-    "v_tri": _build_v_tri,
-    "d3_tri": _build_d3_tri,
-}
-
-
-def _solve(name: str, order: int) -> TruncSeries:
-    start, residual = _ALGEBRAIC[name](order)
-    return fixpoint_solve(residual, order, start, name)
-
-
-for _name in _ALGEBRAIC:
-    _BUILDERS[_name] = lambda order, _n=_name: _solve(_n, order)
 
 
 # -- two-point families -------------------------------------------------------
@@ -623,14 +605,14 @@ def _tri_level(family: str, i: int, order: int) -> tuple[TruncSeries, TruncSerie
         X = named("Y_tri", order)
         Q = named("Q_tri", order)
         Qt = named("Qt_tri", order)
-        Xinf = _one(order).divide(Qt * (1 - Q) ** 2)
+        Xinf = 1 / (Qt * (1 - Q) ** 2)
         Ainf2 = (16 * Q).divide(Qt * (1 + Qt) ** 2 * (1 - Q) ** 2)
         w = Qt
     else:
         X = named("Z_tri", order)
         R = named("R_tri", order)
         Rt = named("Rt_tri", order)
-        Xinf = _one(order).divide(Rt * (1 - R))
+        Xinf = 1 / (Rt * (1 - R))
         Ainf2 = (16 * R).divide((Rt + 1) ** 2 * Rt * (1 - R * R))
         w = Rt
     if i < 0:
@@ -694,32 +676,19 @@ def substitution_y_of_x_tri(order: int) -> TruncSeries:
     return _x(order) * (1 + f) ** 3
 
 
-def check_change_of_variables(lemma: str, order: int = 15) -> bool:
-    """Coefficientwise verification of the four substitution lemmas."""
-    if lemma == "xy_quad":
-        y = substitution_y_of_x(order)
-        P = named("P_quad", order)
-        Qy = named("Q_quad", order).compose(y)
-        return (P - (4 - TruncSeries.const(3, order).divide(Qy))).is_zero()
-    if lemma == "yz_quad":
-        g = named("g_quad", order)
-        Q = named("Q_quad", order)
-        Rg = named("R_quad", order).compose(g)
-        return (Q - (Rg + 1)).is_zero()
-    if lemma == "xy_triang":
-        y = substitution_y_of_x_tri(order)
-        P = named("P_tri", order)
-        Qy = named("Q_tri", order).compose(y)
-        ok1 = (Qy - (P * P - 1) / 8).is_zero()
-        Qty = named("Qt_tri", order).compose(y)
-        return ok1 and (Qty - P).is_zero()
-    if lemma == "yz_triang":
-        g = named("g_tri", order)
-        y = _x(order)
-        z = (g * g).divide(y)
-        Q = named("Q_tri", order)
-        Rz = named("R_tri", order).compose(z)
-        ok1 = (Rz - Q.divide(1 - Q)).is_zero()
-        Rtz = named("Rt_tri", order).compose(z)
-        return ok1 and (Rtz - named("Qt_tri", order)).is_zero()
-    raise UnknownName(f"unknown change-of-variables lemma {lemma!r}")
+def check_change_of_variables(order: int = 15) -> dict[str, bool]:
+    """Whether each of the four substitution lemmas holds coefficientwise."""
+    y = substitution_y_of_x(order)
+    y3 = substitution_y_of_x_tri(order)
+    g3 = named("g_tri", order)
+    z = (g3 * g3).divide(_x(order))
+    P, Q = named("P_quad", order), named("Q_quad", order)
+    P3, Q3, Qt3 = named("P_tri", order), named("Q_tri", order), named("Qt_tri", order)
+    return {
+        "xy_quad": (P - (4 - TruncSeries.const(3, order).divide(Q.compose(y)))).is_zero(),
+        "yz_quad": (Q - (named("R_quad", order).compose(named("g_quad", order)) + 1)).is_zero(),
+        "xy_triang": (Q3.compose(y3) - (P3 * P3 - 1) / 8).is_zero()
+        and (Qt3.compose(y3) - P3).is_zero(),
+        "yz_triang": (named("R_tri", order).compose(z) - Q3.divide(1 - Q3)).is_zero()
+        and (named("Rt_tri", order).compose(z) - Qt3).is_zero(),
+    }

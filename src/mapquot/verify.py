@@ -222,9 +222,13 @@ def check_quotient_lemmas(small: bool = False) -> tuple[bool, str]:
                        for lemma, ok in verify_quotient_lemmas(sym).items()]
             count += 1
     # unroll outputs round-trip and satisfy the lemmas
-    for deg, sizes in ((4, (1, 2, 3)), (3, (1, 3))):
+    for deg, noun, sizes in ((4, "quadrangular 2-dissections", (1, 2, 3)),
+                             (3, "triangular 1-dissections", (1, 3))):
         for n in sizes:
-            for p in census.pointed_dissection_classes(deg, n):
+            pointed = census.pointed_dissection_classes(deg, n)
+            if not pointed:
+                return False, f"no pointed {noun} of size {n}"
+            for p in pointed:
                 for k in (2, 3):
                     where = f"unroll k={k} (degree {deg}, size {n})"
                     sym = unroll(p, k)
@@ -291,13 +295,16 @@ def _orientation_family(deg: int, d: int, n: int) -> tuple[dict[str, bool], int,
     return checks, paths, None
 
 
-def _orientation_symmetric(small: bool) -> tuple[dict[str, bool], int, None]:
+def _orientation_symmetric(small: bool) -> tuple[dict[str, bool], int, str | None]:
     """Minimal orientations of symmetric members are rotation invariant."""
-    symmetric = [(2, 2, n, census.symmetric_simple_quadrangulations(n))
+    symmetric = [(2, 2, n, "quadrangulations", census.symmetric_simple_quadrangulations)
                  for n in ((1, 2) if small else (1, 2, 3))]
-    symmetric.append((3, 3, 1, census.symmetric_simple_triangulations(1)))
+    symmetric.append((3, 3, 1, "triangulations", census.symmetric_simple_triangulations))
     checks: dict[str, bool] = {}
-    for k, d, n, members in symmetric:
+    for k, d, n, noun, members_of in symmetric:
+        members = members_of(n)
+        if not members:
+            return checks, 0, f"no symmetric simple {noun} of size {n}"
         name = f"symmetric minimal, k={k}, size {n}"
         checks[name] = all([check_symmetric_minimal(sym, minimal_d_orientation(sym.plane_map, d))
                             for sym in members])
@@ -369,8 +376,7 @@ def check_residuals_substitutions(small: bool = False) -> tuple[bool, str]:
     order = 15 if small else 30
     checks = [(f"residual {name}", ok) for name, ok in S.check_residuals(order).items()]
     sub = 12 if small else 15
-    for lemma in ("xy_quad", "yz_quad", "xy_triang", "yz_triang"):
-        checks.append((f"lemma {lemma}", S.check_change_of_variables(lemma, sub)))
+    checks += [(f"lemma {lemma}", ok) for lemma, ok in S.check_change_of_variables(sub).items()]
     # F from G by edge substitution; G from H by face substitution
     y_of_x = S.substitution_y_of_x(sub)
     f = S.named("f_quad", sub)

@@ -1,4 +1,5 @@
 import concurrent.futures
+import doctest
 import hashlib
 import io
 import json
@@ -43,9 +44,12 @@ def assert_usage_error(code, out, err, message):
     assert "Traceback" not in err
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def readme_command_lines():
     """The `mapquot` lines of README's "Command line" block."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = README.read_text()
     block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
     return [line for line in block.splitlines() if line.startswith("mapquot ")]
 
@@ -72,6 +76,11 @@ def test_readme_command_lines_parse():
             i = next(j for j, word in enumerate(argv) if word in ("<", ">"))
             del argv[i:i + 2]
         parser.parse_args(argv[1:])
+
+
+def test_readme_python_examples_pass():
+    """README's `>>>` examples print what it shows."""
+    assert tuple(doctest.testfile(str(README), module_relative=False)) == (0, 4)
 
 
 class TestSeriesCommand:

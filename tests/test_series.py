@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mapquot import census
 from mapquot import series as S
 from mapquot.series import (
     BadDistance,
@@ -25,7 +26,7 @@ def ints(ts):
 def pinned_series():
     """Every catalogue series, every two-point family at i = 1-3 and the
     direct form of d3_tri, each as a function of the order."""
-    out = {name: lambda k, name=name: S.named(name, k) for name in S._BUILDERS}
+    out = {name: lambda k, name=name: S.named(name, k) for name in S.CATALOGUE}
     out.update(
         {f"{fam}:{i}": lambda k, fam=fam, i=i: S.two_point(fam, i, k)
          for fam in S.TWO_POINT_FAMILIES for i in (1, 2, 3)}
@@ -119,7 +120,7 @@ class TestArithmetic:
         assert ints(TruncSeries.x(2)) == [0, 1, 0]
 
     def test_low_orders_truncate_order_five(self):
-        series = {name: lambda k, name=name: S.named(name, k) for name in S._BUILDERS}
+        series = {name: lambda k, name=name: S.named(name, k) for name in S.CATALOGUE}
         series.update(
             {(fam, i): lambda k, fam=fam, i=i: S.two_point(fam, i, k)
              for fam in S.TWO_POINT_FAMILIES for i in (1, 2, 3)}
@@ -259,10 +260,50 @@ class TestDerivedSeries:
         assert tr * t == (t - x)
 
 
+def _simple_triangulations(n):
+    return census.rooted_triangulations(2 * n, simple=True)
+
+
+# each size convention that names a census family, with that family's count
+# at size n and the largest n compared
+CENSUS_READINGS = {
+    "d_quad": ("rooted quasi-simple pointed quadrangular 2-dissections, inner faces",
+               census.rooted_quasi_simple_pointed_2d, 4),
+    "d3_tri": ("quasi-simple pointed triangular 1-dissections, half faces",
+               lambda n: census.count_pointed_dissections(3, 2 * n - 1, quasi_simple=True), 4),
+    "s_tri": ("simple triangulations with a marked edge, half faces",
+              lambda n: census.marked_edge_count(_simple_triangulations(n)), 4),
+    "t_vertex": ("rooted simple triangulations, marked vertex off the root edge, half faces",
+                 lambda n: sum(m.n_vertices - 2 for m in _simple_triangulations(n)), 5),
+    "t_edge": ("rooted simple triangulations, marked edge other than the root edge, half faces",
+               lambda n: sum(m.n_edges - 1 for m in _simple_triangulations(n)), 5),
+    "t_rootedge": ("rooted simple triangulations, marked edge at the root vertex other than the "
+                   "root edge, half faces",
+                   lambda n: sum(m.degree(m.vertex_of[m.root_dart]) - 1
+                                 for m in _simple_triangulations(n)), 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CENSUS_READINGS))
+def test_size_convention_meets_the_census(name):
+    convention, count, nmax = CENSUS_READINGS[name]
+    assert S.CATALOGUE[name].convention == convention
+    counts = [count(n) for n in range(1, nmax + 1)]
+    assert all(counts), (name, counts)
+    series = S.named(name, nmax)
+    assert [series[n] for n in range(1, nmax + 1)] == counts
+
+
+LEMMAS = ["xy_quad", "yz_quad", "xy_triang", "yz_triang"]
+
+
 class TestChangeOfVariables:
-    @pytest.mark.parametrize("lemma", ["xy_quad", "yz_quad", "xy_triang", "yz_triang"])
+    @pytest.mark.parametrize("lemma", LEMMAS)
     def test_lemma(self, lemma):
-        assert S.check_change_of_variables(lemma, 15)
+        assert S.check_change_of_variables(15)[lemma]
+
+    def test_every_lemma_is_checked_in_order(self):
+        assert list(S.check_change_of_variables(8)) == LEMMAS
 
 
 TWO_POINT_FROZEN = {

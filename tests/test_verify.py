@@ -31,6 +31,10 @@ def _empty_at(monkeypatch, module, name, lead, empty):
         # the size-4 triangulations: outer and inner degree 3, 3 inner faces, 12 darts
         ("orientations", "_read_family", (3, 3, 3), census._Family(Sigmas(bytearray(), 12)),
          "no 3-orientable maps among 0 of degree 3, size 4"),
+        ("orientations", "symmetric_simple_quadrangulations", (2,), [],
+         "no symmetric simple quadrangulations of size 2"),
+        ("quotient_lemmas", "pointed_dissection_classes", (4, 2), [],
+         "no pointed quadrangular 2-dissections of size 2"),
         ("census_series", "rooted_sphere_quads", (2,), [],
          "no sphere quadrangulations for f_quad[2]"),
         ("census_series", "simply_rooted_sphere_tris", (4,), [],
@@ -38,8 +42,8 @@ def _empty_at(monkeypatch, module, name, lead, empty):
         ("two_point_census", "two_point_quad_table", (2,), {},
          "empty two-point quadrangulation table at size 2"),
     ],
-    ids=["bijections-quad", "bijections-tri", "orientations", "census-sphere-quad",
-         "census-sphere-tri", "two-point"],
+    ids=["bijections-quad", "bijections-tri", "orientations", "orientations-symmetric",
+         "quotient-lemmas-unroll", "census-sphere-quad", "census-sphere-tri", "two-point"],
 )
 def test_empty_census_family_fails_with_its_name_and_size(
     monkeypatch, check, patched, lead, empty, expected
@@ -155,9 +159,9 @@ def test_series_golden_is_timed_from_a_cold_cache(monkeypatch):
     before = S.named.cache_info()
     built = []
     for name in ("q", "t"):
-        real = S._BUILDERS[name]
-        monkeypatch.setitem(S._BUILDERS, name,
-                            lambda order, real=real, name=name: built.append(name) or real(order))
+        entry = S.CATALOGUE[name]
+        monkeypatch.setitem(S.CATALOGUE, name, entry._replace(
+            build=lambda order, real=entry.build, name=name: built.append(name) or real(order)))
     ok, _ = verify.check_series_golden()
     assert ok
     assert S.named.cache_info() == before
