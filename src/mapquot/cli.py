@@ -54,8 +54,7 @@ def cmd_series(args) -> int:
 
 def cmd_two_point(args) -> int:
     ts = S.two_point(args.family, args.i, args.order)
-    quad = args.family.startswith("quad")  # the size conventions of S.two_point
-    convention = "(inner faces)/k" if quad else "n, with (2n+1)k inner faces"
+    convention = S.TWO_POINT[args.family].convention
     payload = _series_payload(f"two_point[{args.family}, i={args.i}]", "x", convention, ts)
     payload["family"] = args.family
     payload["distance"] = args.i
@@ -162,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_series)
 
     p = sub.add_parser("two-point", help="distance-refined generating series")
-    p.add_argument("--family", required=True, choices=S.TWO_POINT_FAMILIES)
+    p.add_argument("--family", required=True, choices=list(S.TWO_POINT))
     p.add_argument("--i", type=int, required=True, help="radial distance (>= 1)")
     p.add_argument("--order", type=int, default=10)
     p.set_defaults(fn=cmd_two_point)

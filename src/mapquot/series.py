@@ -2,7 +2,8 @@
 Fractions otherwise), and the catalogue of counting series for planar dissections.
 
 Each catalogue series is declared once, on its definition, with its
-variable and size convention.  Each algebraic series is defined by the
+variable and size convention, and each two-point family once, on its kernel,
+with its size convention.  Each algebraic series is defined by the
 residual of its equation alone and solved from it by one solver, Newton
 iteration with doubling precision, which checks the residual of the result.
 `q` and `t` are the integrals of their derivatives, which are algebraic and
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, NamedTuple, Sequence
 
 
@@ -287,25 +288,31 @@ def fixpoint_solve(
 
 class Entry(NamedTuple):
     """A catalogue series: its variable, what its coefficients count and by
-    which size, and its builder, order -> the series truncated there."""
+    which size, its builder, order -> the series truncated there, and, for
+    an algebraic series, its definition, order -> (constant term of the
+    root, residual)."""
 
     variable: str
     convention: str
     build: Callable[[int], TruncSeries]
+    definition: Callable[[int], tuple] | None = None
 
 
 #: every catalogue series by name, each declared once below, on its definition
 CATALOGUE: dict[str, Entry] = {}
 
-#: name -> its algebraic definition, order -> (constant term of the root, residual)
-_ALGEBRAIC: dict[str, Callable[[int], tuple]] = {}
 
-
-def _series(name: str, variable: str, convention: str):
-    """Declare the decorated builder as the catalogue series `name`."""
+def _series(name: str, variable: str, convention: str, definition=None):
+    """Declare the decorated builder as the catalogue series `name`.  A
+    builder (or definition) declared again under a second name is an alias,
+    which reads the first name's cached series instead of building it anew."""
 
     def declare(build):
-        CATALOGUE[name] = Entry(variable, convention, build)
+        key = definition or build
+        first = next((other for other, e in CATALOGUE.items() if (e.definition or e.build) is key),
+                     name)
+        CATALOGUE[name] = Entry(variable, convention,
+                                build if first == name else partial(named, first), definition)
         return build
 
     return declare
@@ -316,13 +323,11 @@ def _algebraic(name: str, variable: str, convention: str):
     `name`, which Newton iteration solves from it."""
 
     def declare(definition):
-        _ALGEBRAIC[name] = definition
-
         def build(order):
             start, residual = definition(order)
             return fixpoint_solve(residual, order, start, name)
 
-        _series(name, variable, convention)(build)
+        _series(name, variable, convention, definition)(build)
         return definition
 
     return declare
@@ -462,16 +467,16 @@ def _build_f_quad(order):
     return P * (4 - P) / 3 - 1
 
 
-@_series("g_quad", "y", "inner faces of rooted simple quadrangulations")
-def _build_g_quad(order):
-    Q = named("Q_quad", order)
-    return 3 * Q - Q * Q - 2
-
-
 @_series("f_tri", "x", "half the faces of simply-rooted sphere triangulations")
 def _build_f_tri(order):
     P = named("P_tri", order)
     return -P * (P * P - 9) / 8 - 1
+
+
+@_series("g_quad", "y", "inner faces of rooted simple quadrangulations")
+def _build_g_quad(order):
+    Q = named("Q_quad", order)
+    return 3 * Q - Q * Q - 2
 
 
 @_series("g_tri", "y", "half the faces of rooted simple triangulations")
@@ -510,8 +515,7 @@ def _build_s_tri(order):
 @_series("t_edge", "x",
          "rooted simple triangulations, marked edge other than the root edge, half faces")
 def _build_t_edge(order):
-    t = named("t", order)
-    return 3 * _build_s_tri(order) - t
+    return 3 * named("s_tri", order) - named("t", order)
 
 
 @_series("t_rootedge", "x", "rooted simple triangulations, marked edge at the root vertex "
@@ -522,31 +526,27 @@ def _build_t_rootedge(order):
     return (t - _x(order + 1)).divide(t)
 
 
-def _uv_system(order):
-    """The two-unknown linear system for quasi-simple triangular objects."""
+@_series("u_tri", "x", "quasi-simple rooted triangular 2-dissections, no loop at root, half faces")
+def _build_u_tri(order):
+    """u and v solve the linear system u = tv + x(1+u) + tr u + (te - tr) v,
+    v = tv + 2x(1+u) + te v; eliminate v, then solve the unit-coefficient
+    equation for u."""
     x = _x(order)
     tv = named("t_vertex", order)
     te = named("t_edge", order)
     tr = named("t_rootedge", order)
-    # u = tv + x(1+u) + tr*u + (te - tr)*v
-    # v = tv + 2x(1+u) + te*v
-    # eliminate v, then solve the unit-coefficient linear equation for u
     inv = 1 / (1 - te)
     coef_u = 1 - x - tr - (te - tr) * 2 * x * inv
     rhs = tv + x + (te - tr) * (tv + 2 * x) * inv
-    u = rhs.divide(coef_u)
-    v = (tv + 2 * x * (1 + u)).divide(1 - te)
-    return u, v
-
-
-@_series("u_tri", "x", "quasi-simple rooted triangular 2-dissections, no loop at root, half faces")
-def _build_u_tri(order):
-    return _uv_system(order)[0]
+    return rhs.divide(coef_u)
 
 
 @_series("v_tri", "x", "quasi-simple rooted triangular 2-dissections, half faces")
 def _build_v_tri(order):
-    return _uv_system(order)[1]
+    """v = (tv + 2x(1+u)) / (1 - te), the second equation of u_tri's system."""
+    x = _x(order)
+    u = named("u_tri", order)
+    return (named("t_vertex", order) + 2 * x * (1 + u)).divide(1 - named("t_edge", order))
 
 
 @_series("d3_tri", "x", "quasi-simple pointed triangular 1-dissections, half faces")
@@ -567,93 +567,106 @@ def d3_closed_form(order: int) -> TruncSeries:
 
 # -- two-point families -------------------------------------------------------
 
-TWO_POINT_FAMILIES = ("quad", "quad_simple", "quad_irred", "tri", "tri_simple", "tri_irred")
-
 
 def _ratio_kernel(X: TruncSeries, i: int, j: int) -> TruncSeries:
     """(1 - X^i)(1 - X^j) expanded; used inside unit-denominator ratios."""
     return (1 - X**i) * (1 - X**j)
 
 
-@lru_cache(maxsize=None)
-def _quad_level(family: str, i: int, order: int) -> TruncSeries:
-    """X_i-style level series for the three quadrangular kernels."""
-    if family == "quad":
-        X, Xinf = named("X_quad", order), named("P_quad", order)
-    elif family == "quad_simple":
-        X, Xinf = named("Y_quad", order), named("Q_quad", order)
-    else:
-        X, Xinf = named("Z_quad", order), named("R_quad", order) + 1
-    if i == 0:
-        return TruncSeries.zero(order)
-    num = _ratio_kernel(X, i, i + 3)
-    den = _ratio_kernel(X, i + 1, i + 2)
-    return Xinf * num.divide(den)
+class _QuadKernel(NamedTuple):
+    """A quadrangular kernel: the distance variable X and the limit Xinf of
+    the level series X_i, whose differences are the two-point series."""
+
+    X: TruncSeries
+    Xinf: TruncSeries
+
+    def level(self, i: int) -> TruncSeries:
+        X = self.X
+        return self.Xinf * _ratio_kernel(X, i, i + 3).divide(_ratio_kernel(X, i + 1, i + 2))
+
+    def two_point(self, i: int) -> TruncSeries:
+        return self.level(i + 1) - self.level(i)
 
 
-@lru_cache(maxsize=None)
-def _tri_level(family: str, i: int, order: int) -> tuple[TruncSeries, TruncSeries]:
-    """(X_i, A_i^2)-style pair for the three triangular kernels.  Only the
-    squared companion is a power series, so it is never unsquared."""
-    if family == "tri":
-        X = named("X_tri", order)
-        P = named("P_tri", order)
-        Xinf = P
-        Ainf2 = (2 * P * (P - 1)).divide(1 + P)
-        w = P
-    elif family == "tri_simple":
-        X = named("Y_tri", order)
-        Q = named("Q_tri", order)
-        Qt = named("Qt_tri", order)
-        Xinf = 1 / (Qt * (1 - Q) ** 2)
-        Ainf2 = (16 * Q).divide(Qt * (1 + Qt) ** 2 * (1 - Q) ** 2)
-        w = Qt
-    else:
-        X = named("Z_tri", order)
-        R = named("R_tri", order)
-        Rt = named("Rt_tri", order)
-        Xinf = 1 / (Rt * (1 - R))
-        Ainf2 = (16 * R).divide((Rt + 1) ** 2 * Rt * (1 - R * R))
-        w = Rt
-    if i < 0:
-        raise BadDistance("negative level")
-    if i == 0:
-        Xi = TruncSeries.zero(order)
-    else:
-        Xi = Xinf * _ratio_kernel(X, i, i + 2).divide((1 - X ** (i + 1)) ** 2)
-    # four times the correction c in A_i^2 = A_inf^2 (1 - c)^2, so that the
-    # product stays integral until the one division by 16
-    c4 = (w + 1) * (X**i) * _ratio_kernel(X, 1, 2).divide(_ratio_kernel(X, i + 1, i + 2))
-    Ai2 = Ainf2 * (4 - c4) ** 2 / 16
-    return Xi, Ai2
+class _TriKernel(NamedTuple):
+    """A triangular kernel: the distance variable X, the limits of the level
+    series X_i and of the squared companion A_i^2 (only the square is a power
+    series), and the w of A_i^2's correction."""
+
+    X: TruncSeries
+    Xinf: TruncSeries
+    Ainf2: TruncSeries
+    w: TruncSeries
+
+    def level(self, i: int) -> TruncSeries:
+        X = self.X
+        return self.Xinf * _ratio_kernel(X, i, i + 2).divide((1 - X ** (i + 1)) ** 2)
+
+    def squared_companion(self, i: int) -> TruncSeries:
+        X = self.X
+        # four times the correction c in A_i^2 = A_inf^2 (1 - c)^2, so that the
+        # product stays integral until the one division by 16
+        c4 = (self.w + 1) * (X**i) * _ratio_kernel(X, 1, 2).divide(_ratio_kernel(X, i + 1, i + 2))
+        return self.Ainf2 * (4 - c4) ** 2 / 16
+
+    def two_point(self, i: int) -> TruncSeries:
+        return (self.level(i + 1) - self.level(i - 1)
+                + self.squared_companion(i) - self.squared_companion(i - 1))
+
+
+def _tri_kernel(order: int) -> _TriKernel:
+    P = named("P_tri", order)
+    return _TriKernel(named("X_tri", order), P, (2 * P * (P - 1)).divide(1 + P), P)
+
+
+def _tri_simple_kernel(order: int) -> _TriKernel:
+    Q, Qt = named("Q_tri", order), named("Qt_tri", order)
+    return _TriKernel(named("Y_tri", order), 1 / (Qt * (1 - Q) ** 2),
+                      (16 * Q).divide(Qt * (1 + Qt) ** 2 * (1 - Q) ** 2), Qt)
+
+
+def _tri_irred_kernel(order: int) -> _TriKernel:
+    R, Rt = named("R_tri", order), named("Rt_tri", order)
+    return _TriKernel(named("Z_tri", order), 1 / (Rt * (1 - R)),
+                      (16 * R).divide((Rt + 1) ** 2 * Rt * (1 - R * R)), Rt)
+
+
+class TwoPoint(NamedTuple):
+    """A two-point family: by which size its coefficients count, and its
+    kernel, order -> the kernel series truncated there."""
+
+    convention: str
+    kernel: Callable[[int], _QuadKernel | _TriKernel]
+
+
+_QUAD_SIZE = "(inner faces)/k"
+_TRI_SIZE = "n, with (2n+1)k inner faces"
+
+#: every two-point family by name, each declared once, on its kernel
+TWO_POINT: dict[str, TwoPoint] = {
+    "quad": TwoPoint(_QUAD_SIZE, lambda n: _QuadKernel(named("X_quad", n), named("P_quad", n))),
+    "quad_simple": TwoPoint(_QUAD_SIZE,
+                            lambda n: _QuadKernel(named("Y_quad", n), named("Q_quad", n))),
+    "quad_irred": TwoPoint(_QUAD_SIZE,
+                           lambda n: _QuadKernel(named("Z_quad", n), named("R_quad", n) + 1)),
+    "tri": TwoPoint(_TRI_SIZE, _tri_kernel),
+    "tri_simple": TwoPoint(_TRI_SIZE, _tri_simple_kernel),
+    "tri_irred": TwoPoint(_TRI_SIZE, _tri_irred_kernel),
+}
 
 
 def two_point(family: str, i: int, order: int) -> TruncSeries:
     """Generating series of symmetric dissections whose center sits at
-    distance i from the outer boundary (independent of the symmetry order).
-
-    quad families count by (inner faces)/k; triangular ones by n with
-    (2n+1)k inner faces.  The irreducible variants require symmetry order
-    at least 3 (quadrangular) or 4 (triangular); the series themselves do
-    not depend on the order.
-    """
-    if family not in TWO_POINT_FAMILIES:
+    distance i from the outer boundary, counted by the size convention that
+    TWO_POINT declares for the family and built from its kernel.  The
+    irreducible variants require symmetry order at least 3 (quadrangular) or
+    4 (triangular); the series themselves do not depend on the order."""
+    entry = TWO_POINT.get(family)
+    if entry is None:
         raise UnknownName(f"unknown two-point family {family!r}")
     if i <= 0:
         raise BadDistance("distance must be at least 1")
-    if family.startswith("quad"):
-        return _quad_level(family, i + 1, order) - _quad_level(family, i, order)
-    Xi1, Ai2 = _tri_level(family, i + 1, order)
-    Xim, Aim2 = _tri_level(family, i - 1, order)
-    _, Ai2_i = _tri_level(family, i, order)
-    return Xi1 - Xim + Ai2_i - Aim2
-
-
-def two_point_level(family: str, i: int, order: int) -> TruncSeries:
-    """The raw level series (X_i / Y_i / Z_i analogue) for telescoping checks."""
-    if family.startswith("quad"):
-        return _quad_level(family, i, order)
-    return _tri_level(family, i, order)[0]
+    return entry.kernel(order).two_point(i)
 
 
 # -- identity checks -----------------------------------------------------------
@@ -661,7 +674,8 @@ def two_point_level(family: str, i: int, order: int) -> TruncSeries:
 
 def check_residuals(order: int = 30) -> dict[str, bool]:
     """Whether each algebraic series, as `named` caches it, zeroes its residual."""
-    return {name: alg(order)[1](named(name, order)).is_zero() for name, alg in _ALGEBRAIC.items()}
+    return {name: entry.definition(order)[1](named(name, order)).is_zero()
+            for name, entry in CATALOGUE.items() if entry.definition}
 
 
 def substitution_y_of_x(order: int) -> TruncSeries:

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mapquot import census, jsonio, verify
+from mapquot import series as S
 from mapquot.cli import build_parser, main
 from mapquot.maps import DissectionSpec, PlaneMap, unrooted_code
 from mapquot.quotient import phi, phi_tri
@@ -121,6 +122,74 @@ class TestSeriesCommand:
         _, out1 = run_cli(capsys, "series", "--name", "t", "--order", "10")
         _, out2 = run_cli(capsys, "series", "--name", "t", "--order", "10")
         assert out1 == out2
+
+    # sha256, first 16 hex digits, of each payload: `series --name N --order 30`
+    # under N, `two-point --family F --i I --order 20` under F:I
+    PAYLOAD_PINS = {
+    "P_quad": "724e9c425e4482e5",
+    "P_tri": "27502c3d8630a844",
+    "Q_quad": "35eec57a2acc8607",
+    "Q_tri": "790036abe290c6ba",
+    "Qt_tri": "1cdd8650a31621f6",
+    "R_quad": "71e2bf7f1c43c3b4",
+    "R_tri": "7ccd5fd41c4de57e",
+    "Rt_tri": "b793c1b3b5850107",
+    "X_quad": "6573990562f9a9e7",
+    "X_tri": "fd7c216382be5354",
+    "Y_quad": "fa15decbea279fba",
+    "Y_tri": "f43c45b97c26aaba",
+    "Z_quad": "8f770ca2a68ae977",
+    "Z_tri": "707c209e43f1c1a7",
+    "a_edge": "1c55bf8a9c17d806",
+    "a_vertex": "abfe349f6ee85324",
+    "alpha_quaternary": "2ed471136f3891c7",
+    "alpha_ternary": "f84f0f9d288a4368",
+    "d3_tri": "08a42d065c3fdbc1",
+    "d_quad": "c1eb4294795e6815",
+    "f_quad": "c70514a7caa6c9ea",
+    "f_tri": "05d20f5635c396ea",
+    "g_quad": "422ead567c0bdab2",
+    "g_tri": "8634406aeaefc024",
+    "q": "21a4a09a2dd171bb",
+    "s_tri": "65d6488909aed584",
+    "t": "f0654ff1d7ec9380",
+    "t_edge": "f101e326b70f5da9",
+    "t_rootedge": "7d6871588b3925af",
+    "t_vertex": "176114fdb069d411",
+    "u_tri": "fcd3513317a50553",
+    "v_tri": "f5ce94e3abc8a32d",
+    "quad:1": "d92bfb9ab901b5d3",
+    "quad:2": "cee62bf49ef4d44f",
+    "quad:3": "70cfe16b233aae26",
+    "quad_simple:1": "56d27b7b0ceeda80",
+    "quad_simple:2": "591c9fb813a0dfde",
+    "quad_simple:3": "b479a238876f9f09",
+    "quad_irred:1": "1bb682807f5722ab",
+    "quad_irred:2": "e98eeba45c329afc",
+    "quad_irred:3": "5b9e065134e14145",
+    "tri:1": "19bc4efd0ca59024",
+    "tri:2": "d8a1acd7bc3db71c",
+    "tri:3": "31aa9a039202c3f4",
+    "tri_simple:1": "8a294bf901f06470",
+    "tri_simple:2": "d90fa3d0d42c1316",
+    "tri_simple:3": "477e4977ccbe25d7",
+    "tri_irred:1": "7606509b82120e08",
+    "tri_irred:2": "6d18404bfe4bc6b4",
+    "tri_irred:3": "afb156054219f606",
+    }
+
+    @pytest.mark.parametrize("key", PAYLOAD_PINS)
+    def test_payload_bytes_are_pinned(self, capsys, key):
+        family, _, i = key.partition(":")
+        argv = (["two-point", "--family", family, "--i", i, "--order", "20"] if i
+                else ["series", "--name", key, "--order", "30"])
+        code, out = run_cli(capsys, *argv)
+        assert (code, hashlib.sha256(out.encode()).hexdigest()[:16]) == (0, self.PAYLOAD_PINS[key])
+
+    def test_every_series_and_two_point_family_is_pinned(self):
+        families = [key.partition(":")[0] for key in self.PAYLOAD_PINS if ":" in key]
+        assert list(dict.fromkeys(families)) == list(S.TWO_POINT)
+        assert len(self.PAYLOAD_PINS) == len(S.CATALOGUE) + 3 * len(S.TWO_POINT)
 
 
 class TestEnumerateCommand:
@@ -583,6 +652,37 @@ MALFORMED = {
     "bool orient bit": dict(SQUARE, orient=[0, 1, True, None]),
     "orient bit 2": dict(SQUARE, orient=[0, 1, 2, None]),
     "string n_darts": dict(SQUARE, n_darts="8"),
+    "n_darts off sigma": dict(SQUARE, n_darts=6),
+    "short orient": dict(SQUARE, orient=[0, 1]),
+    "pointed out of range": dict(SQUARE, pointed=99),
+}
+# the rotation rejections, each on a valid symmetric record with one field changed
+SYMMETRIC = jsonio.symmetric_record(census.symmetric_simple_quadrangulations(1)[0])
+MALFORMED.update({
+    "order 1": dict(SYMMETRIC, k=1),
+    "rho no permutation": dict(SYMMETRIC, rho=[0] * 12),
+    "rho off sigma": dict(SYMMETRIC, rho=[d ^ 1 for d in range(12)]),
+    "rho off alpha": dict(SYMMETRIC, rho=SYMMETRIC["sigma"]),
+    "rho of order 1": dict(SYMMETRIC, rho=list(range(12))),
+    # the other rotation of order 2, which moves the center
+    "rho off the center": dict(SYMMETRIC, rho=[3, 2, 1, 0, 8, 9, 10, 11, 4, 5, 6, 7]),
+})
+# the one size-1 center is fixed by every rotation that fixes the outer face,
+# so the outer-face rejection is made on a size-2 record, pointed off its center
+SYMMETRIC_2 = jsonio.symmetric_record(census.symmetric_simple_quadrangulations(2)[0])
+MALFORMED["rho off the outer face"] = dict(SYMMETRIC_2, rho=list(range(19, -1, -1)), pointed=4)
+# the message of each row that reaches a rejection no other row reaches
+REJECTIONS = {
+    "n_darts off sigma": "n_darts does not match sigma",
+    "short orient": "orient array must have one entry per edge",
+    "pointed out of range": "pointed vertex out of range",
+    "order 1": "symmetry order must be at least 2",
+    "rho no permutation": "rho is not a dart permutation",
+    "rho off sigma": "rho does not commute with sigma",
+    "rho off alpha": "rho does not commute with alpha",
+    "rho of order 1": "rho does not have order exactly k",
+    "rho off the center": "rho does not fix the center vertex",
+    "rho off the outer face": "rho does not fix the outer face",
 }
 
 json_values = st.recursive(
@@ -604,12 +704,14 @@ def run_orient(text):
 
 
 class TestInputContract:
-    @pytest.mark.parametrize("record", MALFORMED.values(), ids=list(MALFORMED))
-    def test_malformed_record_is_an_input_error(self, record):
-        code, out, err = run_orient(json.dumps(record))
+    @pytest.mark.parametrize("name", list(MALFORMED))
+    def test_malformed_record_is_an_input_error(self, name):
+        code, out, err = run_orient(json.dumps(MALFORMED[name]))
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+        if name in REJECTIONS:
+            assert err == f"error: {REJECTIONS[name]}\n"
 
     @settings(max_examples=150, deadline=None)
     @given(record=json_values | near_records)

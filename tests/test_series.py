@@ -29,7 +29,7 @@ def pinned_series():
     out = {name: lambda k, name=name: S.named(name, k) for name in S.CATALOGUE}
     out.update(
         {f"{fam}:{i}": lambda k, fam=fam, i=i: S.two_point(fam, i, k)
-         for fam in S.TWO_POINT_FAMILIES for i in (1, 2, 3)}
+         for fam in S.TWO_POINT for i in (1, 2, 3)}
     )
     out["d3_closed_form"] = S.d3_closed_form
     return out
@@ -123,7 +123,7 @@ class TestArithmetic:
         series = {name: lambda k, name=name: S.named(name, k) for name in S.CATALOGUE}
         series.update(
             {(fam, i): lambda k, fam=fam, i=i: S.two_point(fam, i, k)
-             for fam in S.TWO_POINT_FAMILIES for i in (1, 2, 3)}
+             for fam in S.TWO_POINT for i in (1, 2, 3)}
         )
         for make in series.values():
             full = make(5)
@@ -228,6 +228,31 @@ class TestSolvers:
     def test_unknown_name(self):
         with pytest.raises(UnknownName):
             S.named("nonsense", 5)
+
+    def test_an_alias_reads_the_series_of_its_first_name(self, monkeypatch):
+        solved = []
+        real = S.fixpoint_solve
+        monkeypatch.setattr(S, "fixpoint_solve",
+                            lambda residual, order, start, name="": solved.append(name)
+                            or real(residual, order, start, name))
+        S.named.cache_clear()
+        for first, alias in (("Q_quad", "alpha_ternary"), ("s_tri", "t_vertex")):
+            assert S.named(alias, 60) is S.named(first, 60)
+        # one Newton solve for Q_quad and alpha_ternary, and one for t
+        assert solved == ["Q_quad", "t"]
+        S.named.cache_clear()
+
+    def test_v_tri_reads_the_cached_u_tri(self, monkeypatch):
+        S.named.cache_clear()
+        S.named("d3_tri", 60)
+        divisions = []
+        real = TruncSeries.divide
+        monkeypatch.setattr(TruncSeries, "divide",
+                            lambda self, other: divisions.append(other) or real(self, other))
+        S.named("v_tri", 60)
+        # v = (t_vertex + 2x(1 + u)) / (1 - t_edge), with u's linear system not solved again
+        assert len(divisions) == 1
+        S.named.cache_clear()
 
 
 class TestDerivedSeries:
@@ -363,16 +388,19 @@ class TestTwoPoint:
     def test_tri_level_decomposition(self):
         # F_i = U_i + U_{i+1} + V_i in terms of the level series
         order = 8
+        kernel = S.TWO_POINT["tri"].kernel(order)
         for i in (1, 2):
             F = S.two_point("tri", i, order)
-            Xi, Ai2 = S._tri_level("tri", i, order)
-            Xm, Am2 = S._tri_level("tri", i - 1, order)
-            Xp, _ = S._tri_level("tri", i + 1, order)
-            U_i = Xi - Xm
-            U_next = Xp - Xi
-            V_i = Ai2 - Am2
+            U_i = kernel.level(i) - kernel.level(i - 1)
+            U_next = kernel.level(i + 1) - kernel.level(i)
+            V_i = kernel.squared_companion(i) - kernel.squared_companion(i - 1)
             assert (F - (U_i + U_next + V_i)).is_zero()
 
     def test_counting_coefficients_are_counts(self):
-        for family in S.TWO_POINT_FAMILIES:
+        for family in S.TWO_POINT:
             S.two_point(family, 2, 8).integer_coefficients()
+
+    def test_level_zero_is_zero(self):
+        # 1 - X^0 vanishes, so no level needs a special case at i = 0
+        for family, entry in S.TWO_POINT.items():
+            assert entry.kernel(6).level(0).is_zero(), family

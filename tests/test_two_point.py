@@ -22,7 +22,8 @@ class TestQuadAgainstCensus:
         total = S.TruncSeries.zero(nmax)
         for i in range(1, big + 1):
             total = total + S.two_point("quad", i, nmax)
-        diff = S.two_point_level("quad", big + 1, nmax) - S.two_point_level("quad", 1, nmax)
+        kernel = S.TWO_POINT["quad"].kernel(nmax)
+        diff = kernel.level(big + 1) - kernel.level(1)
         assert (total - diff).is_zero()
         for n in range(1, nmax + 1):
             assert total[n] == sum(census.two_point_quad_table(n).values())

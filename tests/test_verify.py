@@ -40,10 +40,17 @@ def _empty_at(monkeypatch, module, name, lead, empty):
         ("census_series", "simply_rooted_sphere_tris", (4,), [],
          "no simply rooted sphere triangulations for f_tri[2]"),
         ("two_point_census", "two_point_quad_table", (2,), {},
-         "empty two-point quadrangulation table at size 2"),
+         "no census members for two_point[quad] at size 2"),
+        # size 2: 5 inner triangles
+        ("two_point_census", "pointed_distance_table", (3, 5), {},
+         "no census members for two_point[tri] at size 2"),
+        # size 2: 4 inner faces, 2 in each orbit of the rotation
+        ("two_point_census", "symmetric_members", (4, 4, 2, 4), [],
+         "no census members for two_point[quad_simple] at size 2"),
     ],
     ids=["bijections-quad", "bijections-tri", "orientations", "orientations-symmetric",
-         "quotient-lemmas-unroll", "census-sphere-quad", "census-sphere-tri", "two-point"],
+         "quotient-lemmas-unroll", "census-sphere-quad", "census-sphere-tri", "two-point",
+         "two-point-tri", "two-point-quad-simple"],
 )
 def test_empty_census_family_fails_with_its_name_and_size(
     monkeypatch, check, patched, lead, empty, expected
@@ -102,14 +109,12 @@ def test_cross_series_names_the_broken_identity(monkeypatch):
 
 @pytest.fixture
 def cold_series_caches():
-    """Series caches emptied before and after, so that a patched series
+    """The series cache emptied before and after, so that a patched series
     reaches the series built from it and is forgotten afterwards."""
-    caches = (S.named, S._quad_level, S._tri_level)
-    for cache in caches:
-        cache.cache_clear()
+    named = S.named  # the cache itself, which a test may patch over
+    named.cache_clear()
     yield
-    for cache in caches:
-        cache.cache_clear()
+    named.cache_clear()
 
 
 def test_residuals_name_the_broken_series(monkeypatch, cold_series_caches):
@@ -166,6 +171,15 @@ def test_series_golden_is_timed_from_a_cold_cache(monkeypatch):
     assert ok
     assert S.named.cache_info() == before
     assert built == ["q", "t"]
+
+
+def test_series_golden_names_the_broken_series(monkeypatch):
+    entry = S.CATALOGUE["q"]
+    monkeypatch.setitem(S.CATALOGUE, "q", entry._replace(
+        build=lambda order: entry.build(order) + S.TruncSeries.x(order) ** 5))
+    ok, detail = verify.check_series_golden()
+    assert not ok
+    assert detail == "failed: q golden"
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
