@@ -92,12 +92,14 @@ def _read_family(
     n_inner: int,
     simple: bool = False,
     outer_simple: bool = False,
+    jobs: int = 1,
 ) -> _Family:
     """All rooted maps with the given face-degree profile, one per class,
-    generated afresh: the orientation check reads its families here, so they
-    are not kept once it is done."""
+    generated afresh, by a search split over up to `jobs` processes: the
+    orientation check and plain queries read their families here, so they are
+    not kept once they are done."""
     _check_inner(n_inner)
-    return _Family(run_census(outer_deg, inner_deg, n_inner, simple, outer_simple))
+    return _Family(run_census(outer_deg, inner_deg, n_inner, simple, outer_simple, jobs=jobs))
 
 
 @lru_cache(maxsize=None)
@@ -390,9 +392,11 @@ def _guard(q: CensusQuery, cap_key: Optional[str], value: int, n_inner: int) -> 
         )
 
 
-def generate(q: CensusQuery) -> Iterator[Sequence[int]]:
+def generate(q: CensusQuery, jobs: int = 1) -> Iterator[Sequence[int]]:
     """The sigma of each census member, rooted at dart 0: the kernel's buffer
-    for plain queries, the plane map of each witness for the others."""
+    for plain queries, the plane map of each witness for the others.  A plain
+    query's family is searched on up to `jobs` processes, past the
+    rooted_family cache; the others run in this process."""
     s = q.spec
     if q.distance is not None and not (s.pointed or s.symmetry_k):
         raise MapError("a distance filter needs a pointed or symmetric family")
@@ -425,15 +429,13 @@ def generate(q: CensusQuery) -> Iterator[Sequence[int]]:
             assert m.root_dart == 0
             yield m.sigma
         return
-    if d == s.outer_degree == 4:
-        _guard(q, "quad_faces", q.size, q.size - 1)
-        fam = rooted_quadrangulations(q.size, simple=s.simple)
-    elif d == s.outer_degree == 3:
-        _guard(q, "tri_faces", q.size, q.size - 1)
-        fam = rooted_triangulations(q.size, simple=s.simple)
+    if d == s.outer_degree:
+        _guard(q, "quad_faces" if d == 4 else "tri_faces", q.size, q.size - 1)
+        n_inner = _inner_faces(q.size, "quadrangulations" if d == 4 else "triangulations")
     else:
         _guard(q, None, q.size, q.size)
-        fam = rooted_family(s.outer_degree, d, q.size, simple=s.simple, outer_simple=True)
+        n_inner = q.size
+    fam = _read_family(s.outer_degree, d, n_inner, simple=s.simple, outer_simple=True, jobs=jobs)
     if s.irreducible:
         yield from (m.sigma for m in fam if is_irreducible(m, d))
     else:

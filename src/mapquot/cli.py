@@ -2,9 +2,9 @@
 
 Subcommands: series, enumerate, two-point, quotient {classic,new,unroll},
 orient, verify, render.  All output is JSON (or SVG for render) on stdout;
-diagnostics go to stderr.  Exit codes: 0 success, 1 verification failure,
-2 usage error.  Everything is deterministic: no randomness, lexicographic
-tie-breaks throughout.
+diagnostics go to stderr.  Exit codes: 0 success, 1 verification failure
+or a dead worker process, 2 usage error.  Everything is deterministic: no
+randomness, lexicographic tie-breaks throughout.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from pathlib import Path
 
 from mapquot import census, jsonio, render
 from mapquot import series as S
+from mapquot.kernel import WorkerDied
 from mapquot.maps import DissectionSpec, MapError
 from mapquot.orientations import minimal_d_orientation
 from mapquot.quotient import classical_quotient, phi, phi_tri, unroll
@@ -54,8 +55,9 @@ def cmd_series(args) -> int:
 
 def cmd_two_point(args) -> int:
     ts = S.two_point(args.family, args.i, args.order)
-    convention = S.TWO_POINT[args.family].convention
-    payload = _series_payload(f"two_point[{args.family}, i={args.i}]", "x", convention, ts)
+    entry = S.TWO_POINT[args.family]
+    payload = _series_payload(f"two_point[{args.family}, i={args.i}]", entry.variable,
+                              entry.convention, ts)
     payload["family"] = args.family
     payload["distance"] = args.i
     _emit(payload)
@@ -74,7 +76,7 @@ def cmd_enumerate(args) -> int:
     )
     query = census.CensusQuery(spec, args.size, distance=args.distance, force=args.force)
     count = 0
-    for sigma in census.generate(query):
+    for sigma in census.generate(query, jobs=_usable_cores()):
         count += 1
         if not args.count_only:
             sys.stdout.write(jsonio.bare_record(sigma) + "\n")
@@ -219,6 +221,9 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as exc:
         print(f"error: bad JSON input: {exc}", file=sys.stderr)
         return 2
+    except WorkerDied as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

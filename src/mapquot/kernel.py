@@ -48,16 +48,45 @@ same way, and each rooted map that rho turns is reached exactly once.
 
 run_census returns a family as Sigmas: every sigma, one byte per dart, laid
 end to end in one read-only buffer, so a family holds at most 256 darts and
-costs one byte per dart and map.
+costs one byte per dart and map.  A family without the simple or outer-simple
+constraint merges no corner classes, since nothing reads them.
+
+With jobs > 1, run_census splits a search with k = 1 over forked processes.
+Every map is a leaf at depth total/2 gluings; the search is cut SPLIT_CUT
+gluings above that, and the nodes at the cut, the frontier, are numbered in
+search order.  Process w searches below the frontier nodes whose index is w
+mod jobs and walks the few nodes above the cut itself, so no search state is
+shipped.  This process searches share 0 and forks one worker per other share,
+with a bare os.fork and a pipe, so no process pool is imported; each worker
+sends back its sigmas and where each of its frontier nodes starts in them, and
+the chunks are interleaved by frontier index: the sigmas and their order are
+those of the serial search.  A first walk counts the frontier nodes, and with
+fewer than SPLIT_MIN_NODES the search runs in this process alone: on two
+cores every family measured with 14 or more frontier nodes ran faster split,
+while simple quadrangulations with 5 or 6 inner faces (2 and 8 nodes) ran
+slower by the few milliseconds a fork costs.  With k > 1 a gluing glues a
+whole orbit, so the depth does not step by one edge, and the search is not
+split.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+import os
+from collections.abc import Callable, Iterator, Sequence
 
 # perfbench/run.py records this flag, and perfbench/compare.py refuses to
 # compare runs where it differs.
 COMPILED = False
+
+#: gluings above the leaves at which a split search cuts its tree
+SPLIT_CUT = 10
+
+#: the fewest frontier nodes at which a split search forks its workers
+SPLIT_MIN_NODES = 12
+
+
+class WorkerDied(RuntimeError):
+    """A worker process of a split search died or returned a broken share."""
 
 
 def _polygons(outer_deg: int, inner_deg: int, n_inner: int) -> tuple[list[int], list[int]]:
@@ -119,6 +148,72 @@ def _emit(edges: list[int], phi_next: list[int], partner: list[int], out: bytear
     out += bytes([new[phi_next[partner[t]]] for t in edges])
 
 
+def _write_share(fd: int, packed: bytearray, starts: list[int]) -> None:
+    """Send one share down a pipe: how many frontier nodes it searched and
+    where each starts in its sigmas, 8 bytes each, then the sigmas."""
+    with open(fd, "wb") as out:
+        out.write(b"".join(n.to_bytes(8, "little") for n in [len(starts), *starts]))
+        out.write(packed)
+
+
+def _read_share(data: bytes) -> tuple[memoryview, list[int]]:
+    """The sigmas and frontier offsets that _write_share sent."""
+    end = 8 + 8 * int.from_bytes(data[:8], "little")
+    return memoryview(data)[end:], [int.from_bytes(data[i:i + 8], "little")
+                                    for i in range(8, end, 8)]
+
+
+def _split(search: Callable[[int], tuple[bytearray, list[int]]], jobs: int, nodes: int) -> bytearray:
+    """The sigmas of a search split in `jobs` shares of its `nodes` frontier
+    nodes, in search order.  search(w) runs share w from the root and returns
+    its sigmas and where each of its frontier nodes starts in them.  Share 0
+    runs in this process and every other share in a forked worker, which
+    sends it back down a pipe; the chunks are then interleaved by frontier
+    index."""
+    workers = []  # (pid, read end of its pipe) of each worker
+    sent = []
+    try:
+        for w in range(1, jobs):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the worker: its share down the pipe, then out
+                status = 1
+                try:
+                    os.close(read_fd)
+                    _write_share(write_fd, *search(w))
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write_fd)
+            workers.append((pid, read_fd))
+        packed, starts = search(0)
+        for _, read_fd in workers:
+            with open(read_fd, "rb", closefd=False) as pipe:
+                sent.append(pipe.read())
+    finally:
+        statuses = []
+        for pid, read_fd in workers:
+            os.close(read_fd)  # a worker still writing stops on the closed pipe
+            statuses.append(os.waitpid(pid, 0)[1])
+    for status in statuses:
+        code = os.waitstatus_to_exitcode(status)
+        if code:
+            how = f"signal {-code}" if code < 0 else f"exit status {code}"
+            raise WorkerDied(f"a census worker process died ({how})")
+    shares = [(memoryview(packed), starts)] + [_read_share(data) for data in sent]
+    for w, (packed, starts) in enumerate(shares):
+        if len(starts) != len(range(w, nodes, jobs)):
+            raise WorkerDied(f"share {w} of a split census searched {len(starts)} "
+                             f"frontier nodes, not {len(range(w, nodes, jobs))}")
+        starts.append(len(packed))
+    out = bytearray()
+    for i in range(nodes):
+        packed, starts = shares[i % jobs]
+        j = i // jobs
+        out += packed[starts[j]:starts[j + 1]]
+    return out
+
+
 def run_census(
     outer_deg: int,
     inner_deg: int,
@@ -126,11 +221,16 @@ def run_census(
     require_simple: bool = False,
     require_outer_simple: bool = False,
     k: int = 1,
+    jobs: int = 1,
 ) -> Sigmas:
     """All rooted maps of the family that the rotation of order k turns (every
     map when k = 1), as Sigmas: one buffer holding each map's sigma, one byte
     per dart (alpha = xor 1, root 0), so a family of more than 256 darts is
-    refused.  The root face needs outer_deg >= 1."""
+    refused.  The root face needs outer_deg >= 1.
+
+    jobs > 1 splits a search with k = 1 and at least SPLIT_MIN_NODES
+    frontier nodes over that many processes, with the same sigmas in the same
+    order; WorkerDied says that one of them failed."""
     n_blocks = 1 + n_inner
     total = outer_deg + n_inner * inner_deg
     results = bytearray()  # the finished sigmas, end to end
@@ -160,6 +260,13 @@ def run_census(
         phi_prev[phi_next[t]] = t
     trail: list[tuple[int, int] | None] = []
     edges: list[int] = []  # flat pairs a0,b0,a1,b1,...
+    constrained = require_simple or require_outer_simple
+    # A split search stops at len(edges) == cut, at its frontier nodes, and
+    # searches below the ones of its share, frontier % jobs == share; the
+    # others (all of them, with share -1) it only counts.
+    cut = share = -1
+    frontier = 0
+    starts: list[int] = []  # where each frontier node of the share starts in results
 
     def glue(d: int, b: int) -> bool:
         """Glue d to b and merge the corners it identifies; False if the
@@ -168,6 +275,10 @@ def run_census(
         partner[b] = d
         edges.append(d)
         edges.append(b)
+        if not constrained:  # no class is read, so none is merged
+            trail.append(None)
+            trail.append(None)
+            return True
         ok = True
         for x, y in ((d, phi_next[b]), (b, phi_next[d])):
             rx, ry = label[x], label[y]
@@ -229,6 +340,12 @@ def run_census(
         return True
 
     def rec(scan_from: int, opened: int) -> None:
+        nonlocal frontier
+        if len(edges) == cut:  # a frontier node, searched by its share alone
+            frontier += 1
+            if (frontier - 1) % jobs != share:
+                return
+            starts.append(len(results))
         opened_end = offsets[opened]
         d = scan_from
         while d < opened_end and partner[d] >= 0:
@@ -258,6 +375,20 @@ def run_census(
             while len(edges) > depth:
                 unglue()
 
+    def search(w: int) -> tuple[bytearray, list[int]]:
+        """Share w of the split search, from the root: (its sigmas, the
+        offset in them of each of its frontier nodes)."""
+        nonlocal share, frontier
+        share, frontier = w, 0
+        rec(0, 1)
+        return results, starts
+
+    if k == 1 and jobs > 1 and total // 2 > SPLIT_CUT:
+        cut = 2 * (total // 2 - SPLIT_CUT)
+        search(-1)  # count the frontier nodes; below them nothing is emitted
+        if frontier >= SPLIT_MIN_NODES:
+            return Sigmas(_split(search, jobs, frontier), total)
+        cut = -1
     rec(0, 1)
     return Sigmas(results, total)
 

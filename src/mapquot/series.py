@@ -632,9 +632,11 @@ def _tri_irred_kernel(order: int) -> _TriKernel:
 
 
 class TwoPoint(NamedTuple):
-    """A two-point family: by which size its coefficients count, and its
-    kernel, order -> the kernel series truncated there."""
+    """A two-point family: the variable of its series (its kernel's distance
+    variable), by which size its coefficients count, and its kernel, order ->
+    the kernel series truncated there."""
 
+    variable: str
     convention: str
     kernel: Callable[[int], _QuadKernel | _TriKernel]
 
@@ -644,14 +646,15 @@ _TRI_SIZE = "n, with (2n+1)k inner faces"
 
 #: every two-point family by name, each declared once, on its kernel
 TWO_POINT: dict[str, TwoPoint] = {
-    "quad": TwoPoint(_QUAD_SIZE, lambda n: _QuadKernel(named("X_quad", n), named("P_quad", n))),
-    "quad_simple": TwoPoint(_QUAD_SIZE,
+    "quad": TwoPoint("x", _QUAD_SIZE,
+                     lambda n: _QuadKernel(named("X_quad", n), named("P_quad", n))),
+    "quad_simple": TwoPoint("y", _QUAD_SIZE,
                             lambda n: _QuadKernel(named("Y_quad", n), named("Q_quad", n))),
-    "quad_irred": TwoPoint(_QUAD_SIZE,
+    "quad_irred": TwoPoint("z", _QUAD_SIZE,
                            lambda n: _QuadKernel(named("Z_quad", n), named("R_quad", n) + 1)),
-    "tri": TwoPoint(_TRI_SIZE, _tri_kernel),
-    "tri_simple": TwoPoint(_TRI_SIZE, _tri_simple_kernel),
-    "tri_irred": TwoPoint(_TRI_SIZE, _tri_irred_kernel),
+    "tri": TwoPoint("x", _TRI_SIZE, _tri_kernel),
+    "tri_simple": TwoPoint("y", _TRI_SIZE, _tri_simple_kernel),
+    "tri_irred": TwoPoint("z", _TRI_SIZE, _tri_irred_kernel),
 }
 
 

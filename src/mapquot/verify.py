@@ -122,6 +122,21 @@ def check_cross_series(small: bool = False) -> tuple[bool, str]:
         ("q' = 2 a3 - 2", (r - (2 * a3 - 2)).is_zero()),
         ("t' = a4^2", (rt - a4 * a4).is_zero()),
     ]
+    # the link of part 1 to part 2: the rooted series from the two-point
+    # kernels' level series, at order 30, with X_B read at B past the order
+    link = 30
+    tl = S.named("t", link + 1).derivative()
+    quad = S.TWO_POINT["quad_simple"].kernel(link)
+    tri = S.TWO_POINT["tri_simple"].kernel(link)
+    B = link + 1
+    identities += [
+        ("d3_tri = x t'", (S.named("d3_tri", link) - S.TruncSeries.x(link) * tl).is_zero()),
+        ("2(Q_quad - level_1) = q'", (2 * (S.named("Q_quad", link) - quad.level(1))
+                                      - S.named("q", link + 1).derivative()).is_zero()),
+        ("X_{B+1} + X_B - X_1 + A^2_B - A^2_0 = t'",
+         (tri.level(B + 1) + tri.level(B) - tri.level(1)
+          + tri.squared_companion(B) - tri.squared_companion(0) - tl).is_zero()),
+    ]
     return _named_result(
         identities, "g/q/t, d3, and direct-solution identities", "failed identities"
     )

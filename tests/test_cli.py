@@ -124,7 +124,8 @@ class TestSeriesCommand:
         assert out1 == out2
 
     # sha256, first 16 hex digits, of each payload: `series --name N --order 30`
-    # under N, `two-point --family F --i I --order 20` under F:I
+    # under N, `two-point --family F --i I --order 20` under F:I.  The simple
+    # and irreducible two-point payloads name their kernel's variable, y or z.
     PAYLOAD_PINS = {
     "P_quad": "724e9c425e4482e5",
     "P_tri": "27502c3d8630a844",
@@ -161,21 +162,21 @@ class TestSeriesCommand:
     "quad:1": "d92bfb9ab901b5d3",
     "quad:2": "cee62bf49ef4d44f",
     "quad:3": "70cfe16b233aae26",
-    "quad_simple:1": "56d27b7b0ceeda80",
-    "quad_simple:2": "591c9fb813a0dfde",
-    "quad_simple:3": "b479a238876f9f09",
-    "quad_irred:1": "1bb682807f5722ab",
-    "quad_irred:2": "e98eeba45c329afc",
-    "quad_irred:3": "5b9e065134e14145",
+    "quad_simple:1": "3cca851405449941",
+    "quad_simple:2": "018175ef01c5bb0c",
+    "quad_simple:3": "d8a944b169c33dfc",
+    "quad_irred:1": "6458942c722b9a07",
+    "quad_irred:2": "36ffd3140c31f9e6",
+    "quad_irred:3": "c0a3163d359ebbcc",
     "tri:1": "19bc4efd0ca59024",
     "tri:2": "d8a1acd7bc3db71c",
     "tri:3": "31aa9a039202c3f4",
-    "tri_simple:1": "8a294bf901f06470",
-    "tri_simple:2": "d90fa3d0d42c1316",
-    "tri_simple:3": "477e4977ccbe25d7",
-    "tri_irred:1": "7606509b82120e08",
-    "tri_irred:2": "6d18404bfe4bc6b4",
-    "tri_irred:3": "afb156054219f606",
+    "tri_simple:1": "9cc1e89aa8965465",
+    "tri_simple:2": "e713c5943adf8c53",
+    "tri_simple:3": "66a3af11ae43fd5e",
+    "tri_irred:1": "87cc21df7b8842c6",
+    "tri_irred:2": "b3b21119e3adde59",
+    "tri_irred:3": "577cc70fc61e9966",
     }
 
     @pytest.mark.parametrize("key", PAYLOAD_PINS)
@@ -280,6 +281,9 @@ class TestEnumerateCommand:
          "c496a611e781595ea547a51bfa884dd72f104d3eb3fe92c7067da48b8a2d7537"),
         ("--inner-degree 4 --outer-degree 4 --size 7 --simple --count-only", 0,
          "a780754c026a9a76e80c28a372bfae9bc307d78ffd30d87e417665c52c0f21a8"),
+        # the benchmark's census command, whose search splits over the usable cores
+        ("--inner-degree 4 --outer-degree 4 --size 9 --simple --force", 0,
+         "2638cb685c145ea186294b864b73f8220703f6bd54d6fdd27e50312e7ef3f828"),
         ("--inner-degree 4 --outer-degree 8 --size 4 --irreducible", 0,
          "9eed1e72db8ea89d701528bcaba492bf3164f6de2b0c9d8cb93b90e775a04cd0"),
         ("--inner-degree 4 --outer-degree 2 --size 3 --pointed", 0,
@@ -589,6 +593,22 @@ class TestVerifyCommand:
         assert (dies["check"], dies["ok"]) == ("dies", False)
         assert "worker process died" in dies["detail"]
 
+    def test_a_dead_census_worker_is_one_error_line(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = (
+            "import os, sys\n"
+            "from mapquot import cli, kernel\n"
+            "parent, emit = os.getpid(), kernel._emit\n"
+            "kernel._emit = lambda *a: emit(*a) if os.getpid() == parent else os._exit(3)\n"
+            "cli._usable_cores = lambda: 2\n"
+            "sys.exit(cli.main(['enumerate', '--inner-degree', '4', '--outer-degree', '4',\n"
+            "                   '--size', '8', '--simple', '--force']))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={"PYTHONPATH": str(src)}, timeout=60)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == "error: a census worker process died (exit status 3)\n"
+
 
 def test_start_up_imports_no_process_pool():
     src = Path(__file__).resolve().parent.parent / "src"
@@ -598,6 +618,24 @@ def test_start_up_imports_no_process_pool():
                           env={"PYTHONPATH": str(src)}, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_a_split_enumerate_imports_no_process_pool():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import os, sys\n"
+        "from mapquot import cli\n"
+        "forks, fork = [], os.fork\n"
+        "os.fork = lambda: forks.append(None) or fork()\n"
+        "cli._usable_cores = lambda: 2\n"
+        "cli.main(['enumerate', '--inner-degree', '4', '--outer-degree', '4', '--size', '8',\n"
+        "          '--simple', '--force', '--count-only'])\n"
+        "print(len(forks), sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={"PYTHONPATH": str(src)}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == '{"count":1938,"size":8}\n1 []\n'
 
 
 # a path u-v-w: edges 0 and 1 both join u and v, edge 3 is a loop at w

@@ -1,8 +1,10 @@
+import functools
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -119,6 +121,54 @@ SEARCH_NODES = {
 @pytest.mark.parametrize("case", SEARCH_NODES)
 def test_search_node_counts(case):
     assert search_nodes(*case) == SEARCH_NODES[case]
+
+
+@functools.cache
+def serial_buffer(profile):
+    """The sigmas of run_census(*profile) in one process."""
+    return kernel.run_census(*profile).buffer.tobytes()
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Each os.fork this process makes while the test runs."""
+    calls = []
+    real = os.fork
+    monkeypatch.setattr(os, "fork", lambda: calls.append(None) or real())
+    return calls
+
+
+# (outer degree, inner degree, inner faces, simple, outer simple): simple,
+# outer-simple and plain families, and one without maps
+SPLIT_FAMILIES = [
+    (4, 4, 8, True, True), (4, 4, 7, True, True), (3, 3, 11, True, True),
+    (4, 4, 6, False, True), (3, 3, 9, False, True), (4, 4, 5, False, False),
+    (2, 4, 5, True, True),
+]
+
+
+@pytest.mark.parametrize("jobs", [2, 3])
+@pytest.mark.parametrize("profile", SPLIT_FAMILIES)
+def test_a_split_search_emits_the_serial_bytes(monkeypatch, forks, profile, jobs):
+    monkeypatch.setattr(kernel, "SPLIT_MIN_NODES", 1)  # split even the small families
+    assert kernel.run_census(*profile, jobs=jobs).buffer.tobytes() == serial_buffer(profile)
+    assert len(forks) == jobs - 1
+
+
+@pytest.mark.parametrize("jobs", [2, 3])
+@pytest.mark.parametrize("profile", [(4, 4, 5, True, True), (4, 4, 8, True, True, 2)],
+                         ids=["below the gate", "k = 2"])
+def test_a_small_or_rotation_search_forks_nothing(monkeypatch, profile, jobs):
+    monkeypatch.setattr(os, "fork", mock.Mock(side_effect=AssertionError("forked")))
+    assert kernel.run_census(*profile, jobs=jobs).buffer.tobytes() == serial_buffer(profile)
+
+
+def test_a_dead_worker_fails_the_split_search(monkeypatch):
+    parent, emit = os.getpid(), kernel._emit
+    monkeypatch.setattr(kernel, "_emit",
+                        lambda *a: emit(*a) if os.getpid() == parent else os._exit(3))
+    with pytest.raises(kernel.WorkerDied, match=r"^a census worker process died \(exit status 3\)$"):
+        kernel.run_census(4, 4, 7, True, True, jobs=2)
 
 
 def test_odd_dart_count_yields_nothing():

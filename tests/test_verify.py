@@ -107,6 +107,37 @@ def test_cross_series_names_the_broken_identity(monkeypatch):
     assert detail == "failed identities: d3_tri closed form"
 
 
+def _break_d3_tri(monkeypatch):
+    real = S.named
+    monkeypatch.setattr(S, "named", lambda name, order: real(name, order) + (
+        S.TruncSeries.x(order) ** 5 if (name, order) == ("d3_tri", 30) else 0))
+
+
+def _break_level_limit(family):
+    """A patch that adds x^5 to the limit of the family kernel's levels."""
+    def patch(monkeypatch):
+        entry = S.TWO_POINT[family]
+
+        def kernel(order):
+            k = entry.kernel(order)
+            return k._replace(Xinf=k.Xinf + S.TruncSeries.x(order) ** 5)
+
+        monkeypatch.setitem(S.TWO_POINT, family, entry._replace(kernel=kernel))
+    return patch
+
+
+@pytest.mark.parametrize("patch,name", [
+    (_break_d3_tri, "d3_tri = x t'"),
+    (_break_level_limit("quad_simple"), "2(Q_quad - level_1) = q'"),
+    (_break_level_limit("tri_simple"), "X_{B+1} + X_B - X_1 + A^2_B - A^2_0 = t'"),
+], ids=["d3_tri", "quad_simple", "tri_simple"])
+def test_cross_series_names_the_broken_link_of_the_two_parts(monkeypatch, patch, name):
+    patch(monkeypatch)
+    assert verify.check_cross_series() == (False, f"failed identities: {name}")
+    monkeypatch.undo()
+    assert verify.check_cross_series() == (True, "g/q/t, d3, and direct-solution identities")
+
+
 @pytest.fixture
 def cold_series_caches():
     """The series cache emptied before and after, so that a patched series
