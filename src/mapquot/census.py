@@ -95,9 +95,9 @@ def _read_family(
     jobs: int = 1,
 ) -> _Family:
     """All rooted maps with the given face-degree profile, one per class,
-    generated afresh, by a search split over up to `jobs` processes: the
-    orientation check and plain queries read their families here, so they are
-    not kept once they are done."""
+    generated afresh, by a search split over up to `jobs` processes: plain
+    queries read their families here, so they are not kept once they are
+    done."""
     _check_inner(n_inner)
     return _Family(run_census(outer_deg, inner_deg, n_inner, simple, outer_simple, jobs=jobs))
 

@@ -46,10 +46,20 @@ has left its partner's boundary cycle (the gluing would add a handle).  The
 glued sides stay a union of orbits, so the smallest unglued side is read the
 same way, and each rooted map that rho turns is reached exactly once.
 
+Side t is glued as dart pos[t] of the emitted sigma, its index in edges, the
+flat list of glued pairs: glue records pos[d] and pos[b] as it appends them.
+At a leaf every side is glued, so the dart after pos[t] around its vertex is
+pos[phi_next[partner[t]]], and the sigma is written from that table alone.
+
 run_census returns a family as Sigmas: every sigma, one byte per dart, laid
 end to end in one read-only buffer, so a family holds at most 256 darts and
 costs one byte per dart and map.  A family without the simple or outer-simple
-constraint merges no corner classes, since nothing reads them.
+constraint merges no corner classes, since nothing reads them.  With classes
+set, which needs one of those constraints, each record is the sigma followed
+by the vertex class of each dart, label[t] of its side t in edges order, one
+byte per dart: two darts share a class exactly when they share a vertex, and
+each class is named by one of its corners, not numbered from 0.  len() still
+counts the maps.
 
 With jobs > 1, run_census splits a search with k = 1 over forked processes.
 Every map is a leaf at depth total/2 gluings; the search is cut SPLIT_CUT
@@ -114,8 +124,9 @@ def _boundary(d: int, phi_next: list[int], partner: list[int]) -> list[int]:
 
 
 class Sigmas(Sequence[bytes]):
-    """Sigmas of one positive width, packed end to end in one read-only
-    buffer; [i] and iteration give each as bytes."""
+    """Records of one positive width, packed end to end in one read-only
+    buffer; [i] and iteration give each as bytes.  A record is one map's
+    sigma, or its sigma and vertex classes (run_census with classes)."""
 
     __slots__ = ("buffer", "width")
 
@@ -139,13 +150,14 @@ class Sigmas(Sequence[bytes]):
             yield buf[start:start + w].tobytes()
 
 
-def _emit(edges: list[int], phi_next: list[int], partner: list[int], out: bytearray) -> None:
+def _emit(edges: list[int], phi_next: list[int], partner: list[int], pos: list[int],
+          out: bytearray, label: list[int] | None = None) -> None:
     """Append the sigma of a finished gluing to out, one byte per dart, edge j
-    being the j-th glued pair (the sides in edges order)."""
-    new = [0] * len(edges)
-    for j, t in enumerate(edges):
-        new[t] = j
-    out += bytes([new[phi_next[partner[t]]] for t in edges])
+    being the j-th glued pair (the sides in edges order, side t being dart
+    pos[t]), then, given label, the vertex class of each dart."""
+    out += bytes([pos[phi_next[partner[t]]] for t in edges])
+    if label is not None:
+        out += bytes([label[t] for t in edges])
 
 
 def _write_share(fd: int, packed: bytearray, starts: list[int]) -> None:
@@ -222,6 +234,7 @@ def run_census(
     require_outer_simple: bool = False,
     k: int = 1,
     jobs: int = 1,
+    classes: bool = False,
 ) -> Sigmas:
     """All rooted maps of the family that the rotation of order k turns (every
     map when k = 1), as Sigmas: one buffer holding each map's sigma, one byte
@@ -230,12 +243,19 @@ def run_census(
 
     jobs > 1 splits a search with k = 1 and at least SPLIT_MIN_NODES
     frontier nodes over that many processes, with the same sigmas in the same
-    order; WorkerDied says that one of them failed."""
+    order; WorkerDied says that one of them failed.
+
+    classes appends each map's vertex classes to its sigma, so each record is
+    twice as wide; only a simple or outer-simple family keeps them."""
+    constrained = require_simple or require_outer_simple
+    if classes and not constrained:
+        raise ValueError("vertex classes need the simple or outer-simple constraint")
     n_blocks = 1 + n_inner
     total = outer_deg + n_inner * inner_deg
-    results = bytearray()  # the finished sigmas, end to end
+    width = 2 * total if classes else total
+    results = bytearray()  # the finished records, end to end
     if total % 2 != 0 or outer_deg % k or n_inner % k:
-        return Sigmas(results, total)
+        return Sigmas(results, width)
     if total > 256:
         raise ValueError(f"a family of {total} darts exceeds the kernel's limit of 256 darts")
     offsets, phi_next = _polygons(outer_deg, inner_deg, n_inner)
@@ -260,7 +280,8 @@ def run_census(
         phi_prev[phi_next[t]] = t
     trail: list[tuple[int, int] | None] = []
     edges: list[int] = []  # flat pairs a0,b0,a1,b1,...
-    constrained = require_simple or require_outer_simple
+    pos = [0] * total  # the index of each glued side in edges
+    appended = label if classes else None  # what _emit appends after each sigma
     # A split search stops at len(edges) == cut, at its frontier nodes, and
     # searches below the ones of its share, frontier % jobs == share; the
     # others (all of them, with share -1) it only counts.
@@ -273,7 +294,9 @@ def run_census(
         state breaks the family in every completion.  unglue undoes it all."""
         partner[d] = b
         partner[b] = d
+        pos[d] = len(edges)
         edges.append(d)
+        pos[b] = len(edges)
         edges.append(b)
         if not constrained:  # no class is read, so none is merged
             trail.append(None)
@@ -352,7 +375,7 @@ def run_census(
             d += 1
         if d == opened_end:
             if opened == n_blocks:
-                _emit(edges, phi_next, partner, results)
+                _emit(edges, phi_next, partner, pos, results, appended)
             return
         cands = _boundary(d, phi_next, partner)
         if opened == n_blocks or inner_deg % 2 == 0:
@@ -387,10 +410,10 @@ def run_census(
         cut = 2 * (total // 2 - SPLIT_CUT)
         search(-1)  # count the frontier nodes; below them nothing is emitted
         if frontier >= SPLIT_MIN_NODES:
-            return Sigmas(_split(search, jobs, frontier), total)
+            return Sigmas(_split(search, jobs, frontier), width)
         cut = -1
     rec(0, 1)
-    return Sigmas(results, total)
+    return Sigmas(results, width)
 
 
 def kernel_form(
@@ -409,6 +432,7 @@ def kernel_form(
     dart = [0] * total  # the map dart on each side
     side = [-1] * total  # the side of each map dart, once its polygon is open
     partner = [-1] * total
+    pos = [0] * total
     edges: list[int] = []
     choices = []
 
@@ -432,7 +456,8 @@ def kernel_form(
         else:
             choices.append(cands.index(b))
         partner[d], partner[b] = b, d
+        pos[d], pos[b] = len(edges), len(edges) + 1
         edges += (d, b)
     sigma = bytearray()
-    _emit(edges, phi_next, partner, sigma)
+    _emit(edges, phi_next, partner, pos, sigma)
     return tuple(choices), bytes(sigma)

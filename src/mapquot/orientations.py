@@ -17,7 +17,6 @@ from mapquot.maps import (
     PlaneMap,
     SymmetricMap,
     _cycles,
-    _orbits,
     cycle_interior,
 )
 
@@ -135,7 +134,9 @@ def find_d_orientation(m: PlaneMap, d: int) -> Orientation:
     return o
 
 
-def overloaded_vertices(sigma: Sequence[int]) -> Optional[tuple[frozenset[int], int]]:
+def overloaded_vertices(
+    sigma: Sequence[int], vertex_of: Sequence[int]
+) -> Optional[tuple[frozenset[int], int]]:
     """None when the map (sigma, root 0) has no loop and no multiple edge,
     else (inside, touching) for its first loop or 2-cycle: the one closed by
     the least edge that is a loop or parallel to a smaller edge.
@@ -144,11 +145,11 @@ def overloaded_vertices(sigma: Sequence[int]) -> Optional[tuple[frozenset[int], 
     holds no outer vertex, and touching the number of edges with an end in
     inside.  A d-orientation gives each vertex of inside d outgoing edges,
     all distinct and all touching inside, so touching < d * len(inside) (a
-    Hall violator) proves that the map has none.  Vertices are numbered as in
-    PlaneMap(sigma).  Only the rotation system is read, so a non-simple
-    census map is settled before any map is built.
+    Hall violator) proves that the map has none.  vertex_of names the vertex
+    of each dart, as PlaneMap(sigma).vertex_of or the census kernel's vertex
+    classes, and inside holds those names.  Only the rotation system is read,
+    so a non-simple census map is settled before any map is built.
     """
-    vertices, vertex_of = _orbits(sigma)
     first: dict[tuple[int, int], int] = {}  # endpoint pair -> its least edge
     for x in range(0, len(sigma), 2):
         u, v = vertex_of[x], vertex_of[x ^ 1]
@@ -178,6 +179,7 @@ def overloaded_vertices(sigma: Sequence[int]) -> Optional[tuple[frozenset[int], 
             break
     for arcs in sides:  # the outer face, with its off-cycle vertices, is on one side
         inside: set[int] = set()
+        touching: set[int] = set()
         stack = []
         for start, stop in arcs:
             d = sigma[start]
@@ -185,13 +187,22 @@ def overloaded_vertices(sigma: Sequence[int]) -> Optional[tuple[frozenset[int], 
                 stack.append(d)
                 d = sigma[d]
         while stack:
-            w = vertex_of[stack.pop() ^ 1]
-            if w not in cycle and w not in inside:
-                inside.add(w)
-                stack.extend(vertices[w])
-        if not inside & outer:
+            x = stack.pop() ^ 1
+            w = vertex_of[x]
+            if w in cycle or w in inside:
+                continue
+            if w in outer and arcs is sides[0]:
+                break  # the outer side: inside is the other
+            inside.add(w)
+            d = x
+            while True:  # the darts around w
+                stack.append(d)
+                touching.add(d >> 1)
+                d = sigma[d]
+                if d == x:
+                    break
+        else:  # walked to its end: inside is this side
             break
-    touching = {d >> 1 for w in inside for d in vertices[w]}
     return frozenset(inside), len(touching)
 
 

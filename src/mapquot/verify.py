@@ -19,7 +19,8 @@ from typing import Callable, Iterable, NamedTuple
 
 from mapquot import census
 from mapquot import series as S
-from mapquot.maps import is_simple, radial_distance, unrooted_code
+from mapquot.kernel import run_census
+from mapquot.maps import PlaneMap, is_simple, radial_distance, unrooted_code
 from mapquot.orientations import (
     OrientationInfeasible,
     PathSelfIntersects,
@@ -168,8 +169,11 @@ def check_census_series(small: bool = False) -> tuple[bool, str]:
 
 def check_bijections(small: bool = False) -> tuple[bool, str]:
     """Edge-marking quotients: cardinalities, injectivity and round trips,
-    named by quotient and size, and the rooted corollaries."""
+    named by quotient and size, and the rooted corollaries.  The members of
+    phi of size n are also counted as (n+1) q[n+1]/2, the coefficient of
+    q'/2: the census form of 2(Q_quad - level_1) = q' in check_cross_series."""
     qmax = 3 if small else 4
+    q = S.named("q", qmax + 1)
     quotients = [  # name, quotient, inverse, symmetric members of size n, their image family
         ("phi", phi, phi_inverse, census.symmetric_simple_quadrangulations, "quadrangulations",
          census.rooted_quadrangulations, range(1, qmax + 1)),
@@ -192,6 +196,9 @@ def check_bijections(small: bool = False) -> tuple[bool, str]:
                                unrooted_code(back.plane_map, pointed=back.center)
                                == unrooted_code(sym.plane_map, pointed=sym.center)))
             checks.append((f"cardinality {name}, size {n}", len(images) == len(members) == expect))
+            if name == "phi":
+                checks.append((f"phi members, size {n} = (n+1) q[n+1]/2",
+                               len(members) == (n + 1) * q[n + 1] / 2))
     # even sizes have no symmetric triangulations
     checks.append(("no symmetric simple triangulations, size 2",
                    census.count_symmetric(3, 3, 3, 6, simple=True) == 0))
@@ -259,10 +266,12 @@ def _orientation_family(deg: int, d: int, n: int) -> tuple[dict[str, bool], int,
     (named results, leftmost paths traced, the failure when no map is
     d-orientable).
 
-    A non-simple map is proved non-orientable by the Hall violator that
-    overloaded_vertices reads from its sigma; only the simple maps are built
-    and given the flow search.  No other check reads these families, so they
-    are read past the rooted_family cache and freed once walked."""
+    The kernel emits each map's sigma with the vertex class of each dart,
+    and a non-simple map is proved non-orientable by the Hall violator that
+    overloaded_vertices reads from the two; only the simple maps are built
+    into a PlaneMap and given the flow search.  No other check reads these
+    families, so they are searched past the rooted_family cache and freed
+    once walked."""
     where = f"degree {deg}, size {n}"
     orientable_iff_simple = f"{d}-orientable == simple, {where}"
     checks: dict[str, bool] = {}
@@ -271,14 +280,16 @@ def _orientation_family(deg: int, d: int, n: int) -> tuple[dict[str, bool], int,
         checks[name] = checks.get(name, True) and ok
 
     paths = feasible = 0
-    fam = census._read_family(deg, deg, n - 1, outer_simple=True)
-    for i, sigma in enumerate(fam.sigmas):
-        obstruction = overloaded_vertices(sigma)
+    darts = deg * n
+    records = run_census(deg, deg, n - 1, require_outer_simple=True, classes=True)
+    for record in records:
+        sigma = record[:darts]
+        obstruction = overloaded_vertices(sigma, record[darts:])
         if obstruction is not None:
             inside, touching = obstruction
             note(orientable_iff_simple, bool(inside) and touching < d * len(inside))
             continue
-        m = fam[i]
+        m = PlaneMap._trusted(sigma)
         note(orientable_iff_simple, is_simple(m))
         try:
             o = find_d_orientation(m, d)
@@ -303,7 +314,7 @@ def _orientation_family(deg: int, d: int, n: int) -> tuple[dict[str, bool], int,
             except PathSelfIntersects:
                 note(f"leftmost paths, {where}", False)
     if not feasible:
-        return checks, paths, f"no {d}-orientable maps among {len(fam)} of {where}"
+        return checks, paths, f"no {d}-orientable maps among {len(records)} of {where}"
     return checks, paths, None
 
 

@@ -124,9 +124,9 @@ def test_search_node_counts(case):
 
 
 @functools.cache
-def serial_buffer(profile):
-    """The sigmas of run_census(*profile) in one process."""
-    return kernel.run_census(*profile).buffer.tobytes()
+def serial_buffer(profile, classes=False):
+    """The records of run_census(*profile) in one process."""
+    return kernel.run_census(*profile, classes=classes).buffer.tobytes()
 
 
 @pytest.fixture
@@ -153,6 +153,10 @@ def test_a_split_search_emits_the_serial_bytes(monkeypatch, forks, profile, jobs
     monkeypatch.setattr(kernel, "SPLIT_MIN_NODES", 1)  # split even the small families
     assert kernel.run_census(*profile, jobs=jobs).buffer.tobytes() == serial_buffer(profile)
     assert len(forks) == jobs - 1
+    if any(profile[3:]):  # a constrained family keeps its vertex classes
+        split = kernel.run_census(*profile, jobs=jobs, classes=True)
+        assert split.buffer.tobytes() == serial_buffer(profile, classes=True)
+        assert len(forks) == 2 * (jobs - 1)
 
 
 @pytest.mark.parametrize("jobs", [2, 3])
@@ -169,6 +173,26 @@ def test_a_dead_worker_fails_the_split_search(monkeypatch):
                         lambda *a: emit(*a) if os.getpid() == parent else os._exit(3))
     with pytest.raises(kernel.WorkerDied, match=r"^a census worker process died \(exit status 3\)$"):
         kernel.run_census(4, 4, 7, True, True, jobs=2)
+
+
+@pytest.mark.parametrize("profile", [(4, 4, 4, True, False), (4, 4, 4, False, True), (3, 3, 5, True, True)])
+def test_vertex_classes_follow_each_sigma(profile):
+    sigmas = kernel.run_census(*profile)
+    records = kernel.run_census(*profile, classes=True)
+    assert len(records) == len(sigmas) > 0  # perfbench counts the maps emitted by len()
+    darts = sigmas.width
+    for sigma, record in zip(sigmas, records):
+        assert len(record) == 2 * darts and record[:darts] == sigma
+        classes = record[darts:]
+        # one class per vertex: sigma takes each dart to a dart of its class
+        assert all(classes[sigma[x]] == classes[x] for x in range(darts))
+        assert len(set(classes)) == PlaneMap._trusted(sigma).n_vertices
+
+
+def test_vertex_classes_of_an_unconstrained_family_are_refused():
+    # such a family merges no classes
+    with pytest.raises(ValueError, match="^vertex classes need the simple or outer-simple constraint$"):
+        kernel.run_census(4, 4, 3, classes=True)
 
 
 def test_odd_dart_count_yields_nothing():

@@ -1,7 +1,8 @@
 import pytest
 
 from mapquot import census
-from mapquot.maps import PointedMap, cycle_interior, is_simple
+from mapquot.kernel import run_census
+from mapquot.maps import PointedMap, _orbits, cycle_interior, is_simple
 from mapquot.orientations import (
     Orientation,
     OrientationInfeasible,
@@ -18,6 +19,7 @@ from mapquot.orientations import (
 )
 
 import cycle_oracle
+import orientation_oracle
 from fixtures import cube, square_map, tetrahedron
 from orientation_oracle import has_d_orientation
 
@@ -80,11 +82,36 @@ class TestFindOrientation:
         for deg, d, n in ORIENTATION_FAMILIES:
             fam = rooted_family(deg, n)
             for sigma, m in zip(fam.sigmas, fam):
-                obstruction = overloaded_vertices(sigma)
+                obstruction = overloaded_vertices(sigma, m.vertex_of)
                 assert (obstruction is None) == is_simple(m) == has_d_orientation(m, d)
                 if obstruction is not None:
                     inside, touching = obstruction
                     assert inside and touching < d * len(inside), (deg, n, sigma)
+                    obstructed += 1
+                seen += 1
+        assert (seen, obstructed) == (102_445, 101_829)
+
+    def test_kernel_classes_are_the_vertices_and_give_the_oracle_obstruction(self):
+        """The kernel's vertex classes are the vertices maps._orbits finds,
+        dart by dart, and the obstruction read with them is the oracle's,
+        read with the orbits, once its vertices are translated."""
+        seen = obstructed = 0
+        for deg, _, n in ORIENTATION_FAMILIES:
+            darts = deg * n
+            records = run_census(deg, deg, n - 1, require_outer_simple=True, classes=True)
+            for record in records:
+                sigma, classes = record[:darts], record[darts:]
+                _, vertex_of = _orbits(sigma)
+                vertex = dict(zip(classes, vertex_of))  # class -> vertex
+                assert [vertex[c] for c in classes] == vertex_of
+                assert len(set(vertex.values())) == len(vertex)
+                got = overloaded_vertices(sigma, classes)
+                expect = orientation_oracle.overloaded_vertices(sigma)
+                if got is None:
+                    assert expect is None
+                else:
+                    inside, touching = got
+                    assert (frozenset(vertex[c] for c in inside), touching) == expect
                     obstructed += 1
                 seen += 1
         assert (seen, obstructed) == (102_445, 101_829)
@@ -97,7 +124,7 @@ class TestFindOrientation:
             fam = rooted_family(deg, n)
             for sigma, m in zip(fam.sigmas, fam):
                 cycle = first_short_cycle(m)
-                obstruction = overloaded_vertices(sigma)
+                obstruction = overloaded_vertices(sigma, m.vertex_of)
                 assert (obstruction is None) == (cycle is None)
                 if cycle is None:
                     continue

@@ -28,8 +28,9 @@ def _empty_at(monkeypatch, module, name, lead, empty):
          "no symmetric simple quadrangulations of size 2"),
         ("bijections", "symmetric_simple_triangulations", (3,), [],
          "no symmetric simple triangulations of size 3"),
-        # the size-4 triangulations: outer and inner degree 3, 3 inner faces, 12 darts
-        ("orientations", "_read_family", (3, 3, 3), census._Family(Sigmas(bytearray(), 12)),
+        # the size-4 triangulations: outer and inner degree 3, 3 inner faces,
+        # 12 darts, so 24 bytes a record with the vertex classes
+        ("orientations", "run_census", (3, 3, 3), Sigmas(bytearray(), 24),
          "no 3-orientable maps among 0 of degree 3, size 4"),
         ("orientations", "symmetric_simple_quadrangulations", (2,), [],
          "no symmetric simple quadrangulations of size 2"),
@@ -55,7 +56,8 @@ def _empty_at(monkeypatch, module, name, lead, empty):
 def test_empty_census_family_fails_with_its_name_and_size(
     monkeypatch, check, patched, lead, empty, expected
 ):
-    _empty_at(monkeypatch, census, patched, lead, empty)
+    # the orientation check runs the kernel itself
+    _empty_at(monkeypatch, verify if patched == "run_census" else census, patched, lead, empty)
     ok, detail = verify.CHECKS[check](True)
     assert not ok
     assert detail == expected
@@ -76,10 +78,10 @@ def test_orientations_fail_when_no_map_is_orientable(monkeypatch):
 def test_orientations_fail_on_an_obstruction_that_is_no_hall_violator(monkeypatch):
     real = verify.overloaded_vertices
 
-    def overloaded(sigma):
+    def overloaded(sigma, vertex_of):
         # 12 darts: the quadrangulations of size 3 and the triangulations of
         # size 4; two edges per inside vertex fail the count for d = 2 only
-        found = real(sigma)
+        found = real(sigma, vertex_of)
         if found is None or len(sigma) != 12:
             return found
         inside, _ = found
@@ -243,10 +245,10 @@ def test_a_suite_gives_the_same_results_in_one_process_and_on_two():
 def test_a_split_check_names_its_broken_families_in_family_order(monkeypatch):
     real = verify.overloaded_vertices
 
-    def overloaded(sigma):
+    def overloaded(sigma, vertex_of):
         # 16 darts: the quadrangulations of size 4, 18: the triangulations of
         # size 6; three edges per inside vertex fail the count for d = 2 and 3
-        found = real(sigma)
+        found = real(sigma, vertex_of)
         if found is None or len(sigma) not in (16, 18):
             return found
         inside, _ = found
@@ -290,6 +292,19 @@ def test_bijections_name_the_broken_round_trip(monkeypatch):
     ok, detail = verify.check_bijections(small=True)
     assert not ok
     assert detail == "failed: round trip phi_tri, size 3"
+
+
+def test_bijections_name_the_broken_census_form_of_phi(monkeypatch):
+    real = S.named
+
+    def named(name, order):  # q[3] = 2 + 1
+        ts = real(name, order)
+        return ts + S.TruncSeries.x(order) ** 3 if name == "q" else ts
+
+    monkeypatch.setattr(S, "named", named)
+    ok, detail = verify.check_bijections(small=True)
+    assert not ok
+    assert detail == "failed: phi members, size 2 = (n+1) q[n+1]/2"
 
 
 def test_orientations_name_the_broken_statement_and_family(monkeypatch):
