@@ -64,23 +64,24 @@ counts the maps.
 With jobs > 1, run_census splits a search with k = 1 over forked processes.
 Every map is a leaf at depth total/2 gluings; the search is cut SPLIT_CUT
 gluings above that, and the nodes at the cut, the frontier, are numbered in
-search order.  Process w searches below the frontier nodes whose index is w
+search order.  Share w searches below the frontier nodes whose index is w
 mod jobs and walks the few nodes above the cut itself, so no search state is
-shipped.  This process searches share 0 and forks one worker per other share,
-with a bare os.fork and a pipe, so no process pool is imported; each worker
-sends back its sigmas and where each of its frontier nodes starts in them, and
-the chunks are interleaved by frontier index: the sigmas and their order are
-those of the serial search.  A first walk counts the frontier nodes, and with
-fewer than SPLIT_MIN_NODES the search runs in this process alone: on two
-cores every family measured with 14 or more frontier nodes ran faster split,
-while simple quadrangulations with 5 or 6 inner faces (2 and 8 nodes) ran
-slower by the few milliseconds a fork costs.  With k > 1 a gluing glues a
-whole orbit, so the depth does not step by one edge, and the search is not
-split.
+shipped.  run_forked runs the shares on jobs forked workers, the same runner
+that spreads verify's checks; each share comes back as the sigmas below each
+of its frontier nodes, one chunk per node, and the chunks are interleaved by
+frontier index: the sigmas and their order are those of the serial search.
+A first walk counts the frontier nodes, and with fewer than SPLIT_MIN_NODES
+the search runs in this process alone: on two cores every family measured
+with 14 or more frontier nodes ran faster split, while simple
+quadrangulations with 5 or 6 inner faces (2 and 8 nodes) ran slower by the
+few milliseconds a fork costs.  With k > 1 a gluing glues a whole orbit, so
+the depth does not step by one edge, and the search is not split.
 """
 
 from __future__ import annotations
 
+import contextlib
+import marshal
 import os
 from collections.abc import Callable, Iterator, Sequence
 
@@ -96,7 +97,57 @@ SPLIT_MIN_NODES = 12
 
 
 class WorkerDied(RuntimeError):
-    """A worker process of a split search died or returned a broken share."""
+    """A forked worker process died or returned a broken census share."""
+
+
+def run_forked(tasks: Sequence[Callable[[], object]], jobs: int) -> tuple[list, str | None]:
+    """Each task's result, in task order, from min(jobs, len(tasks)) forked
+    workers, and how a worker died ("exit status N" or "signal N"), or None.
+
+    This process runs no task and must run no thread.  A free worker takes the
+    next task number from one queue pipe and sends each result, never None,
+    down its own pipe, marshalled, once it has it: a dead worker loses only its
+    task, whose result reads None, as do those no worker was left to take.  A
+    worker keeps this process's caches and patched names."""
+    if len(tasks) > 2048:  # the queue pipe holds every task number, in 4096 bytes at least
+        raise ValueError(f"run_forked takes at most 2048 tasks, not {len(tasks)}")
+    queue, feed = os.pipe()
+    with open(feed, "wb") as numbers:
+        numbers.write(b"".join(i.to_bytes(2, "little") for i in range(len(tasks))))
+    results: list = [None] * len(tasks)
+    workers = []  # (pid, read end of its pipe) of each worker
+    try:
+        for _ in range(min(jobs, len(tasks))):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the worker: results down its pipe until the queue is empty
+                status = 1
+                try:
+                    for fd in [read_fd] + [fd for _, fd in workers]:
+                        os.close(fd)
+                    with open(write_fd, "wb") as out:
+                        while number := os.read(queue, 2):
+                            i = int.from_bytes(number, "little")
+                            marshal.dump((i, tasks[i]()), out)
+                            out.flush()
+                    status = 0
+                finally:
+                    os._exit(status)  # never flushes the stdio it inherited
+            os.close(write_fd)
+            workers.append((pid, read_fd))
+        for _, read_fd in workers:
+            # EOFError: the end of the pipe, or of a result cut short by a death
+            with open(read_fd, "rb", closefd=False) as pipe, contextlib.suppress(EOFError):
+                while True:
+                    i, result = marshal.load(pipe)
+                    results[i] = result
+    finally:
+        os.close(queue)
+        for _, read_fd in workers:
+            os.close(read_fd)  # a worker still writing stops on the closed pipe
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, _ in workers]
+    died = next((f"signal {-c}" if c < 0 else f"exit status {c}" for c in codes if c), None)
+    return results, died
 
 
 def _polygons(outer_deg: int, inner_deg: int, n_inner: int) -> tuple[list[int], list[int]]:
@@ -160,70 +211,20 @@ def _emit(edges: list[int], phi_next: list[int], partner: list[int], pos: list[i
         out += bytes([label[t] for t in edges])
 
 
-def _write_share(fd: int, packed: bytearray, starts: list[int]) -> None:
-    """Send one share down a pipe: how many frontier nodes it searched and
-    where each starts in its sigmas, 8 bytes each, then the sigmas."""
-    with open(fd, "wb") as out:
-        out.write(b"".join(n.to_bytes(8, "little") for n in [len(starts), *starts]))
-        out.write(packed)
-
-
-def _read_share(data: bytes) -> tuple[memoryview, list[int]]:
-    """The sigmas and frontier offsets that _write_share sent."""
-    end = 8 + 8 * int.from_bytes(data[:8], "little")
-    return memoryview(data)[end:], [int.from_bytes(data[i:i + 8], "little")
-                                    for i in range(8, end, 8)]
-
-
-def _split(search: Callable[[int], tuple[bytearray, list[int]]], jobs: int, nodes: int) -> bytearray:
+def _split(search: Callable[[int], list[bytearray]], jobs: int, nodes: int) -> bytearray:
     """The sigmas of a search split in `jobs` shares of its `nodes` frontier
     nodes, in search order.  search(w) runs share w from the root and returns
-    its sigmas and where each of its frontier nodes starts in them.  Share 0
-    runs in this process and every other share in a forked worker, which
-    sends it back down a pipe; the chunks are then interleaved by frontier
+    the sigmas below each of its frontier nodes, one chunk per node.  Each
+    share runs in a forked worker, and the chunks are interleaved by frontier
     index."""
-    workers = []  # (pid, read end of its pipe) of each worker
-    sent = []
-    try:
-        for w in range(1, jobs):
-            read_fd, write_fd = os.pipe()
-            pid = os.fork()
-            if pid == 0:  # the worker: its share down the pipe, then out
-                status = 1
-                try:
-                    os.close(read_fd)
-                    _write_share(write_fd, *search(w))
-                    status = 0
-                finally:
-                    os._exit(status)
-            os.close(write_fd)
-            workers.append((pid, read_fd))
-        packed, starts = search(0)
-        for _, read_fd in workers:
-            with open(read_fd, "rb", closefd=False) as pipe:
-                sent.append(pipe.read())
-    finally:
-        statuses = []
-        for pid, read_fd in workers:
-            os.close(read_fd)  # a worker still writing stops on the closed pipe
-            statuses.append(os.waitpid(pid, 0)[1])
-    for status in statuses:
-        code = os.waitstatus_to_exitcode(status)
-        if code:
-            how = f"signal {-code}" if code < 0 else f"exit status {code}"
-            raise WorkerDied(f"a census worker process died ({how})")
-    shares = [(memoryview(packed), starts)] + [_read_share(data) for data in sent]
-    for w, (packed, starts) in enumerate(shares):
-        if len(starts) != len(range(w, nodes, jobs)):
-            raise WorkerDied(f"share {w} of a split census searched {len(starts)} "
+    shares, died = run_forked([lambda w=w: search(w) for w in range(jobs)], jobs)
+    if died:
+        raise WorkerDied(f"a census worker process died ({died})")
+    for w, chunks in enumerate(shares):
+        if len(chunks) != len(range(w, nodes, jobs)):
+            raise WorkerDied(f"share {w} of a split census searched {len(chunks)} "
                              f"frontier nodes, not {len(range(w, nodes, jobs))}")
-        starts.append(len(packed))
-    out = bytearray()
-    for i in range(nodes):
-        packed, starts = shares[i % jobs]
-        j = i // jobs
-        out += packed[starts[j]:starts[j + 1]]
-    return out
+    return bytearray().join(shares[i % jobs][i // jobs] for i in range(nodes))
 
 
 def run_census(
@@ -398,13 +399,13 @@ def run_census(
             while len(edges) > depth:
                 unglue()
 
-    def search(w: int) -> tuple[bytearray, list[int]]:
-        """Share w of the split search, from the root: (its sigmas, the
-        offset in them of each of its frontier nodes)."""
-        nonlocal share, frontier
-        share, frontier = w, 0
+    def search(w: int) -> list[bytearray]:
+        """Share w of the split search, from the root: the sigmas below each
+        of its frontier nodes, one chunk per node."""
+        nonlocal share, frontier, results, starts
+        share, frontier, results, starts = w, 0, bytearray(), []  # one worker may run two shares
         rec(0, 1)
-        return results, starts
+        return [results[a:b] for a, b in zip(starts, starts[1:] + [len(results)])]
 
     if k == 1 and jobs > 1 and total // 2 > SPLIT_CUT:
         cut = 2 * (total // 2 - SPLIT_CUT)

@@ -590,8 +590,11 @@ class _QuadKernel(NamedTuple):
 
 class _TriKernel(NamedTuple):
     """A triangular kernel: the distance variable X, the limits of the level
-    series X_i and of the squared companion A_i^2 (only the square is a power
-    series), and the w of A_i^2's correction."""
+    series X_i and of the squared companion A_i^2, and the w of A_i^2's
+    correction.  In the plain family, in x, S_i = X_i + X_{i+1} + A_i^2 has
+    x S_i^2 = A_i^2, so the companion A_i = sqrt(x) S_i is sqrt(x) times a
+    power series, and X_i = 1 + x X_i (S_i + S_{i-1}): Bouttier, Di Francesco
+    and Guitter's pair for triangulations, which verify checks."""
 
     X: TruncSeries
     Xinf: TruncSeries

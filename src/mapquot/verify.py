@@ -3,10 +3,11 @@ one suite.  Each check returns (ok, detail); run_suite gathers them with
 timings.  The CLI `verify` subcommand and the acceptance tests both call
 into this module so there is a single source of truth.
 
-run_suite runs a suite as work items, on a pool of forked processes when
-asked for more than one job.  A check is one item, except the orientation
-check, which is split into one item per census family and merged back in
-family order, so a result does not depend on how the suite ran.
+run_suite runs a suite as work items, on forked worker processes
+(kernel.run_forked) when asked for more than one job.  A check is one item,
+except the orientation check, which is split into one item per census
+family and merged back in family order, so a result does not depend on how
+the suite ran.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Callable, Iterable, NamedTuple
 
 from mapquot import census
 from mapquot import series as S
-from mapquot.kernel import run_census
+from mapquot.kernel import run_census, run_forked
 from mapquot.maps import PlaneMap, is_simple, radial_distance, unrooted_code
 from mapquot.orientations import (
     OrientationInfeasible,
@@ -45,8 +46,8 @@ from mapquot.quotient import (
 
 
 class _Item(NamedTuple):
-    """One picklable unit of work of a check: fn(*args).  darts is the size
-    of the census family it walks, if any; a pool starts the largest first."""
+    """One unit of work of a check: fn(*args).  darts is the size of the
+    census family it walks, if any; forked workers start the largest first."""
 
     fn: Callable
     args: tuple
@@ -138,6 +139,16 @@ def check_cross_series(small: bool = False) -> tuple[bool, str]:
          (tri.level(B + 1) + tri.level(B) - tri.level(1)
           + tri.squared_companion(B) - tri.squared_companion(0) - tl).is_zero()),
     ]
+    # Bouttier, Di Francesco and Guitter's recursions, which the levels R_i of
+    # the plain kernels solve, with S_i = R_i + R_{i+1} + A^2_i for triangulations
+    R = [S.TWO_POINT["quad"].kernel(20).level(i) for i in range(12)]
+    plain = S.TWO_POINT["tri"].kernel(20)
+    T, A2 = [plain.level(i) for i in range(12)], [plain.squared_companion(i) for i in range(11)]
+    Si = [T[i] + T[i + 1] + A2[i] for i in range(11)]
+    identities += [identity for i in range(1, 11) for identity in (
+        (f"BDG quad, i={i}", (R[i] - 1 - x * R[i] * (R[i - 1] + R[i] + R[i + 1])).is_zero()),
+        (f"BDG tri S_i, i={i}", (x * Si[i] * Si[i] - A2[i]).is_zero()),
+        (f"BDG tri R_i, i={i}", (T[i] - 1 - x * T[i] * (Si[i] + Si[i - 1])).is_zero()))]
     return _named_result(
         identities, "g/q/t, d3, and direct-solution identities", "failed identities"
     )
@@ -477,12 +488,6 @@ CHECKS: dict[str, Callable[[bool], tuple[bool, str]]] = {
 }
 
 
-def _call_check(name: str, small: bool) -> tuple[bool, str]:
-    """The check registered under name, looked up where it runs, so that a
-    pool pickles its name and not the check itself."""
-    return CHECKS[name](small)
-
-
 def _only(values) -> tuple[bool, str]:
     return values[0]
 
@@ -497,16 +502,16 @@ def _work(name: str, small: bool):
     if name in _SPLIT:
         items, merge = _SPLIT[name]
         return items(small), merge
-    return [_Item(_call_check, (name, small))], _only
+    return [_Item(CHECKS[name], (small,))], _only
 
 
-def _run_item(fn, args) -> tuple[object, str | None, float]:
-    """fn(*args), timed: (value, None, seconds), or (None, where it crashed,
-    seconds).  The crash is described in the process that ran it, because a
-    traceback does not pickle."""
+def _run_item(item: _Item) -> tuple[object, str | None, float]:
+    """item.fn(*item.args), timed: (value, None, seconds), or (None, where it
+    crashed, seconds).  The crash is described in the process that ran it,
+    because a traceback does not marshal."""
     t0 = time.perf_counter()
     try:
-        return fn(*args), None, time.perf_counter() - t0
+        return item.fn(*item.args), None, time.perf_counter() - t0
     except Exception as exc:  # a crash is a failure, not an abort
         import traceback  # imported on a crash only, to keep it out of CLI start-up
         where = traceback.extract_tb(exc.__traceback__)[-1]
@@ -515,33 +520,12 @@ def _run_item(fn, args) -> tuple[object, str | None, float]:
 
 
 def _run_pool(items: list[_Item], jobs: int) -> list[tuple[object, str | None, float]]:
-    """_run_item of every item on `jobs` forked processes, the largest
-    families first.  An item whose worker process died, or that never
-    started because the pool broke, comes back as a crash saying so."""
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    died = (None, "BrokenProcessPool: its worker process died", 0.0)
+    """_run_item of every item on `jobs` forked workers, the largest families
+    first.  An item lost with its worker comes back as a crash saying so."""
     order = sorted(range(len(items)), key=lambda i: -items[i].darts)
-    futures = {}
-    # fork, not spawn: a worker keeps this process's warm caches (and the
-    # names a test patched) and pays no second import.  Fork is safe here
-    # because the executor (from Python 3.11) forks every worker at the first
-    # submit, before it starts its own thread, and run_suite starts none.
-    with ProcessPoolExecutor(jobs, mp_context=multiprocessing.get_context("fork")) as pool:
-        try:
-            for i in order:
-                futures[i] = pool.submit(_run_item, items[i].fn, items[i].args)
-        except BrokenProcessPool:
-            pass
-        outcomes = []
-        for i in range(len(items)):
-            try:
-                outcomes.append(futures[i].result() if i in futures else died)
-            except BrokenProcessPool:
-                outcomes.append(died)
-    return outcomes
+    outcomes, died = run_forked([lambda item=items[i]: _run_item(item) for i in order], jobs)
+    lost = (None, f"WorkerDied: its worker process died ({died})", 0.0)
+    return [outcomes[order.index(i)] or lost for i in range(len(items))]
 
 
 def run_suite(
@@ -554,11 +538,10 @@ def run_suite(
     names = list(names or CHECKS)
     work = [_work(name, small) for name in names]
     items = [item for check_items, _ in work for item in check_items]
-    jobs = min(jobs, len(items))
-    if jobs > 1:
+    if min(jobs, len(items)) > 1:
         outcomes = _run_pool(items, jobs)
     else:
-        outcomes = [_run_item(item.fn, item.args) for item in items]
+        outcomes = [_run_item(item) for item in items]
     results = []
     for name, (check_items, merge) in zip(names, work):
         mine, outcomes = outcomes[:len(check_items)], outcomes[len(check_items):]

@@ -1,8 +1,8 @@
-import concurrent.futures
 import doctest
 import hashlib
 import io
 import json
+import os
 import re
 import shlex
 import subprocess
@@ -543,36 +543,24 @@ class TestVerifyCommand:
         assert captured.err == f"error: --jobs must be at least 1, got {jobs}\n"
 
     def test_pool_is_no_larger_than_the_suite(self, capsys, monkeypatch):
-        requested = []
-
-        class InProcessPool:  # records its size and runs each item at once
-            def __init__(self, max_workers, mp_context):
-                requested.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                future = concurrent.futures.Future()
-                future.set_result(fn(*args))
-                return future
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        forks = []
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
         # series_golden is one item, and the orientation check one per family
-        # and one for its symmetric members; the orientation items go first
+        # and one for its symmetric members
         items = 1 + len(verify._orientation_items(small=True))
         suite = ["verify", "--suite", "series_golden,orientations", "--max-size", "small"]
         code, out = run_cli(capsys, *suite, "--jobs", "64")
         assert code == 0
         assert [r["check"] for r in json.loads(out)["results"]] == ["series_golden", "orientations"]
+        assert len(forks) == items
         code, _ = run_cli(capsys, *suite, "--jobs", "2")
         assert code == 0
+        assert len(forks) == items + 2
+        # one item runs in this process
         code, _ = run_cli(capsys, "verify", "--suite", "series_golden", "--jobs", "4")
         assert code == 0
-        assert requested == [items, 2]
+        assert len(forks) == items + 2
 
     def test_a_dead_worker_fails_its_checks(self):
         src = Path(__file__).resolve().parent.parent / "src"
@@ -580,7 +568,8 @@ class TestVerifyCommand:
             "import os, sys\n"
             "from mapquot import cli, verify\n"
             "verify.CHECKS['dies'] = lambda small: os._exit(3)\n"
-            "sys.exit(cli.main(['verify', '--suite', 'series_golden,dies', '--jobs', '2']))\n"
+            "sys.exit(cli.main(['verify', '--suite', 'series_golden,dies,closed_forms',\n"
+            "                   '--jobs', '2']))\n"
         )
         # the output pipes close only when no worker holds them open
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -589,9 +578,10 @@ class TestVerifyCommand:
         assert proc.stderr == ""
         payload = json.loads(proc.stdout)
         assert payload["ok"] is False
-        dies = payload["results"][1]
-        assert (dies["check"], dies["ok"]) == ("dies", False)
-        assert "worker process died" in dies["detail"]
+        # the other worker runs the items after the one that died
+        assert [(r["check"], r["ok"]) for r in payload["results"]] == [
+            ("series_golden", True), ("dies", False), ("closed_forms", True)]
+        assert payload["results"][1]["detail"] == "WorkerDied: its worker process died (exit status 3)"
 
     def test_a_dead_census_worker_is_one_error_line(self):
         src = Path(__file__).resolve().parent.parent / "src"
@@ -612,12 +602,21 @@ class TestVerifyCommand:
 
 def test_start_up_imports_no_process_pool():
     src = Path(__file__).resolve().parent.parent / "src"
-    code = ("import mapquot.cli, sys; "
-            "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
+    code = (
+        "import sys\n"
+        "from mapquot import cli\n"
+        "pool = lambda: sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules))\n"
+        "print(pool())\n"
+        "code = cli.main(['verify', '--suite', 'series_golden,closed_forms', '--max-size', 'small',\n"
+        "                 '--jobs', '2'])\n"
+        "print(code, pool())\n"
+    )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={"PYTHONPATH": str(src)}, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    start, verdict, ran = proc.stdout.splitlines()
+    assert (start, ran) == ("[]", "0 []")
+    assert json.loads(verdict)["ok"] is True
 
 
 def test_a_split_enumerate_imports_no_process_pool():
@@ -635,7 +634,7 @@ def test_a_split_enumerate_imports_no_process_pool():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={"PYTHONPATH": str(src)}, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == '{"count":1938,"size":8}\n1 []\n'
+    assert proc.stdout == '{"count":1938,"size":8}\n2 []\n'
 
 
 # a path u-v-w: edges 0 and 1 both join u and v, edge 3 is a loop at w

@@ -1,6 +1,7 @@
 import functools
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -152,11 +153,11 @@ SPLIT_FAMILIES = [
 def test_a_split_search_emits_the_serial_bytes(monkeypatch, forks, profile, jobs):
     monkeypatch.setattr(kernel, "SPLIT_MIN_NODES", 1)  # split even the small families
     assert kernel.run_census(*profile, jobs=jobs).buffer.tobytes() == serial_buffer(profile)
-    assert len(forks) == jobs - 1
+    assert len(forks) == jobs  # one worker per share; this process searches none
     if any(profile[3:]):  # a constrained family keeps its vertex classes
         split = kernel.run_census(*profile, jobs=jobs, classes=True)
         assert split.buffer.tobytes() == serial_buffer(profile, classes=True)
-        assert len(forks) == 2 * (jobs - 1)
+        assert len(forks) == 2 * jobs
 
 
 @pytest.mark.parametrize("jobs", [2, 3])
@@ -173,6 +174,40 @@ def test_a_dead_worker_fails_the_split_search(monkeypatch):
                         lambda *a: emit(*a) if os.getpid() == parent else os._exit(3))
     with pytest.raises(kernel.WorkerDied, match=r"^a census worker process died \(exit status 3\)$"):
         kernel.run_census(4, 4, 7, True, True, jobs=2)
+
+
+def test_a_share_short_of_frontier_nodes_fails_the_split_search(monkeypatch):
+    real = kernel.run_forked
+
+    def drop_a_frontier_node(tasks, jobs):
+        shares, died = real(tasks, jobs)
+        chunks, *rest = shares
+        return [chunks[:-1], *rest], died
+
+    monkeypatch.setattr(kernel, "run_forked", drop_a_frontier_node)
+    with pytest.raises(kernel.WorkerDied,
+                       match=r"^share 0 of a split census searched 15 frontier nodes, not 16$"):
+        kernel.run_census(4, 4, 7, True, True, jobs=2)
+
+
+def test_forked_tasks_come_back_in_order_and_a_dead_worker_loses_only_its_task():
+    def task(i):
+        if i == 3:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return i * i, os.getpid()
+
+    results, died = kernel.run_forked([lambda i=i: task(i) for i in range(8)], 2)
+    assert died == "signal 9"
+    assert results[3] is None  # the other worker takes the tasks after it
+    assert [r[0] for r in results if r] == [0, 1, 4, 16, 25, 36, 49]
+    assert os.getpid() not in {r[1] for r in results if r}  # this process runs no task
+    assert kernel.run_forked([], 4) == ([], None)
+
+
+def test_run_forked_refuses_more_tasks_than_its_queue_holds(monkeypatch):
+    monkeypatch.setattr(os, "fork", mock.Mock(side_effect=AssertionError("forked")))
+    with pytest.raises(ValueError, match="^run_forked takes at most 2048 tasks, not 2049$"):
+        kernel.run_forked([int] * 2049, 2)
 
 
 @pytest.mark.parametrize("profile", [(4, 4, 4, True, False), (4, 4, 4, False, True), (3, 3, 5, True, True)])

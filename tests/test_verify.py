@@ -2,7 +2,9 @@
 series or series identity and a crashing check each say what failed and
 where."""
 
+import os
 import re
+import signal
 from fractions import Fraction
 
 import pytest
@@ -140,6 +142,20 @@ def test_cross_series_names_the_broken_link_of_the_two_parts(monkeypatch, patch,
     assert verify.check_cross_series() == (True, "g/q/t, d3, and direct-solution identities")
 
 
+def test_cross_series_names_the_broken_bdg_recursion(monkeypatch):
+    entry = S.TWO_POINT["quad"]
+
+    class WrongLevel3(S._QuadKernel):
+        def level(self, i):
+            return super().level(i) + (S.TruncSeries.x(20) ** 5 if i == 3 else 0)
+
+    monkeypatch.setitem(S.TWO_POINT, "quad",
+                        entry._replace(kernel=lambda order: WrongLevel3(*entry.kernel(order))))
+    # R_3 enters the recursions at i = 2, 3 and 4
+    assert verify.check_cross_series() == (
+        False, "failed identities: BDG quad, i=2, BDG quad, i=3, BDG quad, i=4")
+
+
 @pytest.fixture
 def cold_series_caches():
     """The series cache emptied before and after, so that a patched series
@@ -215,6 +231,13 @@ def test_series_golden_names_the_broken_series(monkeypatch):
     assert detail == "failed: q golden"
 
 
+def test_a_killed_worker_fails_only_its_check(monkeypatch):
+    monkeypatch.setitem(verify.CHECKS, "killed", lambda small: os.kill(os.getpid(), signal.SIGKILL))
+    killed, golden = verify.run_suite(["killed", "series_golden"], jobs=2)
+    assert (killed["ok"], killed["detail"]) == (False, "WorkerDied: its worker process died (signal 9)")
+    assert golden["ok"]
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_run_suite_reports_where_a_check_crashed(monkeypatch, jobs):
     def crashes(small):
@@ -255,7 +278,7 @@ def test_a_split_check_names_its_broken_families_in_family_order(monkeypatch):
         return inside, 3 * len(inside)
 
     monkeypatch.setattr(verify, "overloaded_vertices", overloaded)
-    # the pool starts the triangulations of size 6 before the quadrangulations of size 4
+    # the workers start the triangulations of size 6 before the quadrangulations of size 4
     expected = ("failed: 2-orientable == simple, degree 4, size 4, "
                 "3-orientable == simple, degree 3, size 6")
     for jobs in (1, 2):
