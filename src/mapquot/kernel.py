@@ -47,9 +47,12 @@ glued sides stay a union of orbits, so the smallest unglued side is read the
 same way, and each rooted map that rho turns is reached exactly once.
 
 Side t is glued as dart pos[t] of the emitted sigma, its index in edges, the
-flat list of glued pairs: glue records pos[d] and pos[b] as it appends them.
-At a leaf every side is glued, so the dart after pos[t] around its vertex is
-pos[phi_next[partner[t]]], and the sigma is written from that table alone.
+flat bytes of glued pairs: glue records pos[d] and pos[b] as it appends them.
+Once all are glued, the dart after pos[t] around its vertex is
+pos[phi_next[partner[t]]], and edges[j ^ 1] is the partner of edges[j], so
+_emit swaps each pair in edges and translates the bytes by phi_next and pos.
+A search node is a call of rec; with k = 1 the node with one pair left glues
+it, if the two share a cycle, and emits its map, so no map is a node itself.
 
 run_census returns a family as Sigmas: every sigma, one byte per dart, laid
 end to end in one read-only buffer, so a family holds at most 256 darts and
@@ -150,15 +153,15 @@ def run_forked(tasks: Sequence[Callable[[], object]], jobs: int) -> tuple[list, 
     return results, died
 
 
-def _polygons(outer_deg: int, inner_deg: int, n_inner: int) -> tuple[list[int], list[int]]:
-    """Side offsets of the polygons (outer first) and the next side around each."""
+def _polygons(outer_deg: int, inner_deg: int, n_inner: int) -> tuple[list[int], list[int], bytes]:
+    """Polygon side offsets (outer first) and the next side around each, also as a byte table."""
     offsets = [0] + [outer_deg + b * inner_deg for b in range(n_inner + 1)]
     phi_next = [0] * offsets[-1]
     for b in range(1 + n_inner):
         start, deg = offsets[b], (outer_deg if b == 0 else inner_deg)
         for i in range(deg):
             phi_next[start + i] = start + (i + 1) % deg
-    return offsets, phi_next
+    return offsets, phi_next, bytes(phi_next).ljust(256)
 
 
 def _boundary(d: int, phi_next: list[int], partner: list[int]) -> list[int]:
@@ -201,14 +204,17 @@ class Sigmas(Sequence[bytes]):
             yield buf[start:start + w].tobytes()
 
 
-def _emit(edges: list[int], phi_next: list[int], partner: list[int], pos: list[int],
-          out: bytearray, label: list[int] | None = None) -> None:
+def _emit(edges: bytearray, phi_next: bytes, pos: bytearray, out: bytearray,
+          label: list[int] | None = None) -> None:
     """Append the sigma of a finished gluing to out, one byte per dart, edge j
     being the j-th glued pair (the sides in edges order, side t being dart
-    pos[t]), then, given label, the vertex class of each dart."""
-    out += bytes([pos[phi_next[partner[t]]] for t in edges])
+    pos[t]), then, given label, the vertex class of each dart.  phi_next, pos
+    and label (padded here) are read as 256-byte translation tables."""
+    partners = edges[:]
+    partners[::2], partners[1::2] = edges[1::2], edges[::2]
+    out += partners.translate(phi_next).translate(pos)
     if label is not None:
-        out += bytes([label[t] for t in edges])
+        out += edges.translate(bytes(label).ljust(256))
 
 
 def _split(search: Callable[[int], list[bytearray]], jobs: int, nodes: int) -> bytearray:
@@ -259,7 +265,7 @@ def run_census(
         return Sigmas(results, width)
     if total > 256:
         raise ValueError(f"a family of {total} darts exceeds the kernel's limit of 256 darts")
-    offsets, phi_next = _polygons(outer_deg, inner_deg, n_inner)
+    offsets, phi_next, phi_table = _polygons(outer_deg, inner_deg, n_inner)
     # images[s] = [rho s, rho^2 s, ..., rho^(k-1) s]
     images: list[list[int]] = [[] for _ in range(total)]
     for s in range(total):
@@ -280,8 +286,9 @@ def run_census(
     for t in range(total):
         phi_prev[phi_next[t]] = t
     trail: list[tuple[int, int] | None] = []
-    edges: list[int] = []  # flat pairs a0,b0,a1,b1,...
-    pos = [0] * total  # the index of each glued side in edges
+    edges = bytearray()  # flat pairs a0,b0,a1,b1,...
+    pos = bytearray(256)  # the index of each glued side in edges
+    last = total - 2 if k == 1 and inner_deg > 1 else -1  # len(edges) with one open pair left
     appended = label if classes else None  # what _emit appends after each sigma
     # A split search stops at len(edges) == cut, at its frontier nodes, and
     # searches below the ones of its share, frontier % jobs == share; the
@@ -293,8 +300,7 @@ def run_census(
     def glue(d: int, b: int) -> bool:
         """Glue d to b and merge the corners it identifies; False if the
         state breaks the family in every completion.  unglue undoes it all."""
-        partner[d] = b
-        partner[b] = d
+        partner[d], partner[b] = b, d
         pos[d] = len(edges)
         edges.append(d)
         pos[b] = len(edges)
@@ -375,8 +381,17 @@ def run_census(
         while d < opened_end and partner[d] >= 0:
             d += 1
         if d == opened_end:
-            if opened == n_blocks:
-                _emit(edges, phi_next, partner, pos, results, appended)
+            if opened == n_blocks:  # a leaf, reached only where no last pair is forced
+                _emit(edges, phi_table, pos, results, appended)
+            return
+        if len(edges) == last:  # d can only be glued to the other side left
+            b = phi_next[d]
+            while partner[b] >= 0:
+                b = phi_next[partner[b]]
+            if b != d:  # else d is alone on its cycle
+                if glue(d, b):
+                    _emit(edges, phi_table, pos, results, appended)
+                unglue()
             return
         cands = _boundary(d, phi_next, partner)
         if opened == n_blocks or inner_deg % 2 == 0:
@@ -429,12 +444,12 @@ def kernel_form(
     so sorting maps of one family by this key puts them in census order.
     """
     total = len(sigma)
-    offsets, phi_next = _polygons(outer_deg, inner_deg, (total - outer_deg) // inner_deg)
+    offsets, phi_next, phi_table = _polygons(outer_deg, inner_deg, (total - outer_deg) // inner_deg)
     dart = [0] * total  # the map dart on each side
     side = [-1] * total  # the side of each map dart, once its polygon is open
     partner = [-1] * total
-    pos = [0] * total
-    edges: list[int] = []
+    pos = bytearray(256)
+    edges = bytearray()
     choices = []
 
     def place(x: int, start: int, deg: int) -> None:
@@ -458,7 +473,7 @@ def kernel_form(
             choices.append(cands.index(b))
         partner[d], partner[b] = b, d
         pos[d], pos[b] = len(edges), len(edges) + 1
-        edges += (d, b)
+        edges += bytes((d, b))
     sigma = bytearray()
-    _emit(edges, phi_next, partner, pos, sigma)
+    _emit(edges, phi_table, pos, sigma)
     return tuple(choices), bytes(sigma)

@@ -6,7 +6,8 @@ rescans every glued edge and every outer corner.  It prunes on glued edges
 only, not on the unglued sides the package kernel also judges, so it gives
 the same maps in the same order from more search nodes.
 tests/test_kernels.py requires both kernels to return the same sigma arrays
-in the same order.
+in the same order.  emit keeps the list form in which the package kernel
+once wrote each record, as the oracle for its byte translations.
 
 It keeps the end-only parity cut: a side whose boundary cycle is odd is cut
 only once every polygon is open, when no gluing can change the parity of
@@ -165,3 +166,14 @@ def run_census(
 
     rec(0, 1)
     return results
+
+
+def emit(edges: list[int], phi_next: list[int], partner: list[int], pos: list[int],
+         label: list[int] | None = None) -> bytes:
+    """The record of a finished gluing: its sigma, one byte per dart, edge j
+    being the j-th glued pair (the sides in edges order, side t being dart
+    pos[t]), then, given label, the vertex class of each dart."""
+    record = [pos[phi_next[partner[t]]] for t in edges]
+    if label is not None:
+        record += [label[t] for t in edges]
+    return bytes(record)

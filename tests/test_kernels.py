@@ -108,14 +108,16 @@ def search_nodes(*args):
 
 # (outer degree, inner degree, inner faces, simple, outer simple, k): (nodes, maps).
 # Weaker pruning gives the same maps from more nodes, so the nodes are pinned.
+# With k = 1 the node that glues the forced last pair emits its map, so a
+# leaf is no node; with k > 1 each leaf is a node.
 SEARCH_NODES = {
-    (3, 3, 11, True, True, 1): (2583, 399),
-    (4, 4, 6, True, True, 1): (2643, 408),
+    (3, 3, 11, True, True, 1): (2184, 399),
+    (4, 4, 6, True, True, 1): (2235, 408),
     (6, 4, 6, False, True, 3): (48, 18),
     (4, 4, 8, True, True, 2): (402, 110),
-    (4, 4, 8, True, True, 1): (61294, 9614),
-    (4, 4, 4, False, False, 1): (9790, 2916),
-    (4, 4, 4, False, True, 1): (2735, 810),
+    (4, 4, 8, True, True, 1): (51680, 9614),
+    (4, 4, 4, False, False, 1): (6874, 2916),
+    (4, 4, 4, False, True, 1): (1925, 810),
 }
 
 
@@ -158,6 +160,50 @@ def test_a_split_search_emits_the_serial_bytes(monkeypatch, forks, profile, jobs
         split = kernel.run_census(*profile, jobs=jobs, classes=True)
         assert split.buffer.tobytes() == serial_buffer(profile, classes=True)
         assert len(forks) == 2 * jobs
+
+
+@pytest.fixture
+def oracle_records(monkeypatch):
+    """The records kernel_oracle.emit writes from the state handed to each
+    kernel._emit call while the test runs, end to end."""
+    records = bytearray()
+    real = kernel._emit
+
+    def emit(edges, phi_next, pos, out, label=None):
+        real(edges, phi_next, pos, out, label)
+        partner = [-1] * len(phi_next)
+        for a, b in zip(edges[::2], edges[1::2]):  # edges: flat glued pairs
+            partner[a], partner[b] = b, a
+        records.extend(kernel_oracle.emit(list(edges), list(phi_next), partner, list(pos), label))
+
+    monkeypatch.setattr(kernel, "_emit", emit)
+    return records
+
+
+# SPLIT_FAMILIES, one family with k = 2 and one with k = 3: maps
+EMISSION_FAMILIES = {
+    (4, 4, 8, True, True): 9614, (4, 4, 7, True, True): 1938, (3, 3, 11, True, True): 399,
+    (4, 4, 6, False, True): 69498, (3, 3, 9, False, True): 22880, (4, 4, 5, False, False): 24057,
+    (2, 4, 5, True, True): 0, (4, 4, 8, True, True, 2): 110, (6, 4, 6, False, True, 3): 18,
+}
+
+
+@pytest.mark.parametrize("profile", EMISSION_FAMILIES)
+def test_records_are_the_list_form_emission(oracle_records, profile):
+    assert set(SPLIT_FAMILIES) <= set(EMISSION_FAMILIES)
+    for classes in [False] + [True] * any(profile[3:5]):
+        oracle_records.clear()
+        records = kernel.run_census(*profile, classes=classes)
+        assert len(records) == EMISSION_FAMILIES[profile]
+        assert records.buffer.tobytes() == oracle_records
+
+
+@pytest.mark.parametrize("profile", KERNEL_FORM_PROFILES)
+def test_kernel_form_is_the_list_form_emission(oracle_records, profile):
+    sigmas = kernel.run_census(*profile)
+    oracle_records.clear()
+    forms = b"".join(kernel.kernel_form(s, profile[0], profile[1])[1] for s in sigmas)
+    assert forms == oracle_records == sigmas.buffer.tobytes()
 
 
 @pytest.mark.parametrize("jobs", [2, 3])
