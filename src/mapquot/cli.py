@@ -21,7 +21,7 @@ from mapquot.kernel import WorkerDied
 from mapquot.maps import DissectionSpec, MapError
 from mapquot.orientations import minimal_d_orientation
 from mapquot.quotient import classical_quotient, phi, phi_tri, unroll
-from mapquot.verify import CHECKS, run_suite
+from mapquot.verify import CHECKS, SIZES, run_suite
 
 
 def _emit(obj, args=None) -> None:
@@ -131,7 +131,7 @@ def cmd_verify(args) -> int:
     if unknown:
         print(f"error: unknown checks: {', '.join(map(repr, unknown))}", file=sys.stderr)
         return 2
-    results = run_suite(names, args.max_size == "small", args.jobs)
+    results = run_suite(names, args.max_size, args.jobs)
     ok = all(r["ok"] for r in results)
     _emit({"ok": ok, "results": results})
     return 0 if ok else 1
@@ -196,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the acceptance checks")
     p.add_argument("--suite", default="all")
-    p.add_argument("--max-size", choices=("default", "small"), default="default")
+    p.add_argument("--max-size", choices=list(SIZES), default="default")
     p.add_argument("--jobs", type=int, default=_usable_cores(),
                    help="processes to run the checks on (default: the usable cores)")
     p.set_defaults(fn=cmd_verify)

@@ -77,8 +77,9 @@ A first walk counts the frontier nodes, and with fewer than SPLIT_MIN_NODES
 the search runs in this process alone: on two cores every family measured
 with 14 or more frontier nodes ran faster split, while simple
 quadrangulations with 5 or 6 inner faces (2 and 8 nodes) ran slower by the
-few milliseconds a fork costs.  With k > 1 a gluing glues a whole orbit, so
-the depth does not step by one edge, and the search is not split.
+few milliseconds a fork costs.  The gate counts frontier nodes, not the work
+below them.  With k > 1 a gluing glues a whole orbit, so the depth does not
+step by one edge, and the search is not split.
 """
 
 from __future__ import annotations

@@ -696,12 +696,17 @@ def substitution_y_of_x_tri(order: int) -> TruncSeries:
     return _x(order) * (1 + f) ** 3
 
 
+def substitution_z_of_y_tri(order: int) -> TruncSeries:
+    """z = g^2/y for triangulations."""
+    g = named("g_tri", order)
+    return (g * g).divide(_x(order))
+
+
 def check_change_of_variables(order: int = 15) -> dict[str, bool]:
     """Whether each of the four substitution lemmas holds coefficientwise."""
     y = substitution_y_of_x(order)
     y3 = substitution_y_of_x_tri(order)
-    g3 = named("g_tri", order)
-    z = (g3 * g3).divide(_x(order))
+    z = substitution_z_of_y_tri(order)
     P, Q = named("P_quad", order), named("Q_quad", order)
     P3, Q3, Qt3 = named("P_tri", order), named("Q_tri", order), named("Qt_tri", order)
     return {

@@ -54,6 +54,21 @@ class _Item(NamedTuple):
     darts: int = 0
 
 
+# How far each check goes, by --max-size tier: series orders, and the sizes or the
+# largest size of each census family walked.  A size no tier changes stays in its check.
+SIZES = {
+    "default": {"closed_forms": 50, "census_q": 6, "census_t": 4, "census_f_quad": 6, "phi": 4,
+                "symmetric_quads": (2, 4, 6, 8), "symmetric_tris": (3, 9),
+                "orientation_quads": 7, "orientation_tris": 10, "orientation_symmetric": 3,
+                "two_point_quad": 4, "two_point_tri": 4, "residuals": 30, "substitutions": 15,
+                "integrality": 20, "telescoping": 4},
+    "small": {"closed_forms": 25, "census_q": 5, "census_t": 3, "census_f_quad": 3, "phi": 3,
+              "symmetric_quads": (2, 4, 6), "symmetric_tris": (3,),
+              "orientation_quads": 5, "orientation_tris": 6, "orientation_symmetric": 2,
+              "two_point_quad": 3, "two_point_tri": 3, "residuals": 15, "substitutions": 12,
+              "integrality": 12, "telescoping": 3},
+}
+
 GOLDEN_Q = [0, 0, 1, 2, 6, 22, 91, 408, 1938]
 GOLDEN_T = [0, 1, 1, 3, 13, 68, 399, 2530, 16965]
 
@@ -65,7 +80,7 @@ def _named_result(results, detail: str, failed: str = "failed") -> tuple[bool, s
     return not broken, f"{failed}: " + ", ".join(broken) if broken else detail
 
 
-def check_series_golden(small: bool = False) -> tuple[bool, str]:
+def check_series_golden(tier: str = "default") -> tuple[bool, str]:
     """q and t reproduce their printed developments; order 30 within 1s,
     timed cold: built past the named cache, which the builders of q and t
     do not read, so the series built before stay cached."""
@@ -78,10 +93,10 @@ def check_series_golden(small: bool = False) -> tuple[bool, str]:
                           ("within 1 s", elapsed < 1.0)], f"q,t to order 30 in {elapsed:.3f}s")
 
 
-def check_closed_forms(small: bool = False) -> tuple[bool, str]:
-    """Ternary/quaternary-tree closed forms to order 50 and the factorial
+def check_closed_forms(tier: str = "default") -> tuple[bool, str]:
+    """Ternary/quaternary-tree closed forms to the tier's order and the factorial
     formulas (q indexed by total faces, formula argument = inner faces)."""
-    order = 25 if small else 50
+    order = SIZES[tier]["closed_forms"]
     x = S.TruncSeries.x(order)
     q = S.named("q", order)
     t = S.named("t", order)
@@ -101,7 +116,7 @@ def check_closed_forms(small: bool = False) -> tuple[bool, str]:
     return _named_result(checks, f"closed forms to order {order}, factorial formulas to 20")
 
 
-def check_cross_series(small: bool = False) -> tuple[bool, str]:
+def check_cross_series(tier: str = "default") -> tuple[bool, str]:
     """Derived-series identities and the direct-solution equations."""
     x = S.TruncSeries.x(20)
     r = S.named("q", 22).derivative()  # order 21
@@ -154,15 +169,15 @@ def check_cross_series(small: bool = False) -> tuple[bool, str]:
     )
 
 
-def check_census_series(small: bool = False) -> tuple[bool, str]:
+def check_census_series(tier: str = "default") -> tuple[bool, str]:
     """Exhaustive counts match series coefficients."""
     families = [  # census family as a function of n, and the series whose [n] counts it
         ("simple quadrangulations", lambda n: census.rooted_quadrangulations(n, simple=True),
-         "q", S.named("q", 10), range(2, 6 if small else 7)),
+         "q", S.named("q", 10), range(2, SIZES[tier]["census_q"] + 1)),
         ("simple triangulations", lambda n: census.rooted_triangulations(2 * n, simple=True),
-         "t", S.named("t", 10), range(1, 4 if small else 5)),
+         "t", S.named("t", 10), range(1, SIZES[tier]["census_t"] + 1)),
         ("sphere quadrangulations", census.rooted_sphere_quads,
-         "f_quad", S.named("f_quad", 6), range(1, 4 if small else 7)),
+         "f_quad", S.named("f_quad", 6), range(1, SIZES[tier]["census_f_quad"] + 1)),
         ("simply rooted sphere triangulations", lambda n: census.simply_rooted_sphere_tris(2 * n),
          "f_tri", S.named("f_tri", 4), range(1, 4)),
     ]
@@ -178,12 +193,12 @@ def check_census_series(small: bool = False) -> tuple[bool, str]:
     return _named_result(checks, f"q counts {counts['q']}, t and sphere families match")
 
 
-def check_bijections(small: bool = False) -> tuple[bool, str]:
+def check_bijections(tier: str = "default") -> tuple[bool, str]:
     """Edge-marking quotients: cardinalities, injectivity and round trips,
     named by quotient and size, and the rooted corollaries.  The members of
     phi of size n are also counted as (n+1) q[n+1]/2, the coefficient of
     q'/2: the census form of 2(Q_quad - level_1) = q' in check_cross_series."""
-    qmax = 3 if small else 4
+    qmax = SIZES[tier]["phi"]
     q = S.named("q", qmax + 1)
     quotients = [  # name, quotient, inverse, symmetric members of size n, their image family
         ("phi", phi, phi_inverse, census.symmetric_simple_quadrangulations, "quadrangulations",
@@ -225,12 +240,12 @@ def check_bijections(small: bool = False) -> tuple[bool, str]:
     return _named_result(checks, f"theorem cardinalities and round trips to n={qmax}")
 
 
-def _symmetric_suite(small: bool):
+def _symmetric_suite(tier: str):
     sizes = [
-        (4, 4, 2, (2, 4, 6) if small else (2, 4, 6, 8), True),
+        (4, 4, 2, SIZES[tier]["symmetric_quads"], True),
         (4, 4, 2, (2, 4), False),
         (4, 6, 3, (3, 6), False),
-        (3, 3, 3, (3,) if small else (3, 9), True),
+        (3, 3, 3, SIZES[tier]["symmetric_tris"], True),
         (3, 6, 2, (6,), False),
     ]
     for inner, outer, k, n_inners, simple in sizes:
@@ -239,12 +254,12 @@ def _symmetric_suite(small: bool):
             yield (inner, outer, k, n_inner, simple), members
 
 
-def check_quotient_lemmas(small: bool = False) -> tuple[bool, str]:
+def check_quotient_lemmas(tier: str = "default") -> tuple[bool, str]:
     """Count/distance/quasi-simplicity relations for every symmetric census
     member and every unroll output, named by lemma and family."""
     checks = []
     count = 0
-    for family, members in _symmetric_suite(small):
+    for family, members in _symmetric_suite(tier):
         if not members:
             return False, f"no symmetric members for (inner, outer, k, n_inner, simple)={family}"
         for sym in members:
@@ -329,10 +344,10 @@ def _orientation_family(deg: int, d: int, n: int) -> tuple[dict[str, bool], int,
     return checks, paths, None
 
 
-def _orientation_symmetric(small: bool) -> tuple[dict[str, bool], int, str | None]:
+def _orientation_symmetric(tier: str) -> tuple[dict[str, bool], int, str | None]:
     """Minimal orientations of symmetric members are rotation invariant."""
     symmetric = [(2, 2, n, "quadrangulations", census.symmetric_simple_quadrangulations)
-                 for n in ((1, 2) if small else (1, 2, 3))]
+                 for n in range(1, SIZES[tier]["orientation_symmetric"] + 1)]
     symmetric.append((3, 3, 1, "triangulations", census.symmetric_simple_triangulations))
     checks: dict[str, bool] = {}
     for k, d, n, noun, members_of in symmetric:
@@ -345,13 +360,14 @@ def _orientation_symmetric(small: bool) -> tuple[dict[str, bool], int, str | Non
     return checks, 0, None
 
 
-def _orientation_items(small: bool) -> list[_Item]:
+def _orientation_items(tier: str) -> list[_Item]:
     """One item per (deg, d, n) family, in family order, then the symmetric
     members."""
-    families = [(4, 2, range(2, 6 if small else 8)), (3, 3, range(2, 7 if small else 11, 2))]
+    families = [(4, 2, range(2, SIZES[tier]["orientation_quads"] + 1)),
+                (3, 3, range(2, SIZES[tier]["orientation_tris"] + 1, 2))]
     items = [_Item(_orientation_family, (deg, d, n), darts=deg * n)
              for deg, d, sizes in families for n in sizes]
-    return items + [_Item(_orientation_symmetric, (small,))]
+    return items + [_Item(_orientation_symmetric, (tier,))]
 
 
 def _merge_orientations(values) -> tuple[bool, str]:
@@ -368,23 +384,21 @@ def _merge_orientations(values) -> tuple[bool, str]:
     return _named_result(checks, f"{paths} leftmost paths traced")
 
 
-def check_orientations(small: bool = False) -> tuple[bool, str]:
+def check_orientations(tier: str = "default") -> tuple[bool, str]:
     """d-orientation suite over every quadrangulation/triangulation under cap,
     walking each family once; failures are named by statement and family."""
-    return _merge_orientations([item.fn(*item.args) for item in _orientation_items(small)])
+    return _merge_orientations([item.fn(*item.args) for item in _orientation_items(tier)])
 
 
 def _symmetric_distances(n: int) -> Counter:
     """Symmetric simple quadrangulations with 2n inner faces, counted by
     the distance from the center to the outer boundary."""
-    return Counter(radial_distance(sm.base)
-                   for sm in census.symmetric_members(4, 4, 2, 2 * n, simple=True))
+    return Counter(radial_distance(sm.base) for sm in census.symmetric_simple_quadrangulations(n))
 
 
-def check_two_point_census(small: bool = False) -> tuple[bool, str]:
+def check_two_point_census(tier: str = "default") -> tuple[bool, str]:
     """Distance-refined series coefficients equal census counts."""
-    nmax = 3 if small else 4
-    ntri = 3 if small else 4
+    nmax, ntri = SIZES[tier]["two_point_quad"], SIZES[tier]["two_point_tri"]
     readings = [  # family, its census by distance at size n, the sizes and distances compared
         ("quad", census.two_point_quad_table, range(1, nmax + 1), (1, 2, 3)),
         ("tri", lambda n: census.pointed_distance_table(3, 2 * n + 1), range(0, ntri + 1), (1, 2)),
@@ -402,11 +416,10 @@ def check_two_point_census(small: bool = False) -> tuple[bool, str]:
     return _named_result(checks, f"two-point tables to size {nmax} (quad), {2*ntri+1} inner (tri)")
 
 
-def check_residuals_substitutions(small: bool = False) -> tuple[bool, str]:
+def check_residuals_substitutions(tier: str = "default") -> tuple[bool, str]:
     """Defining-equation residuals and all substitution identities."""
-    order = 15 if small else 30
+    order, sub = SIZES[tier]["residuals"], SIZES[tier]["substitutions"]
     checks = [(f"residual {name}", ok) for name, ok in S.check_residuals(order).items()]
-    sub = 12 if small else 15
     checks += [(f"lemma {lemma}", ok) for lemma, ok in S.check_change_of_variables(sub).items()]
     # F from G by edge substitution; G from H by face substitution
     y_of_x = S.substitution_y_of_x(sub)
@@ -424,7 +437,7 @@ def check_residuals_substitutions(small: bool = False) -> tuple[bool, str]:
     f3 = S.named("f_tri", sub)
     g3 = S.named("g_tri", sub)
     yv = S.TruncSeries.x(sub)
-    z_of_y = (g3 * g3).divide(yv)
+    z_of_y = S.substitution_z_of_y_tri(sub)
     for i in (1, 2):
         F = S.two_point("tri", i, sub)
         G = S.two_point("tri_simple", i, sub)
@@ -444,17 +457,16 @@ def _integral(ts: S.TruncSeries) -> bool:
     return True
 
 
-def check_positivity(small: bool = False) -> tuple[bool, str]:
+def check_positivity(tier: str = "default") -> tuple[bool, str]:
     """Counting coefficients are non-negative integers; telescoped two-point
     sums match bucketed census totals."""
-    order = 12 if small else 20
+    order, nmax = SIZES[tier]["integrality"], SIZES[tier]["telescoping"]
     # the counting series: every catalogue entry but the algebraic kernels
     checks = [(f"integrality {name}", _integral(S.named(name, order)))
               for name, entry in S.CATALOGUE.items() if entry.definition is None]
     checks += [(f"integrality two_point[{family}, i={i}]", _integral(S.two_point(family, i, 10)))
                for family in S.TWO_POINT for i in (1, 2, 3)]
     # telescoping: sum of F_i equals the level difference and the census total
-    nmax = 3 if small else 4
     big = 2 * nmax + 1
     total = S.TruncSeries.zero(nmax)
     for i in range(1, big + 1):
@@ -474,7 +486,7 @@ def check_positivity(small: bool = False) -> tuple[bool, str]:
     return _named_result(checks, f"integrality to order {order}; telescoping to size {nmax}")
 
 
-CHECKS: dict[str, Callable[[bool], tuple[bool, str]]] = {
+CHECKS: dict[str, Callable[[str], tuple[bool, str]]] = {
     "series_golden": check_series_golden,
     "closed_forms": check_closed_forms,
     "cross_series": check_cross_series,
@@ -488,21 +500,12 @@ CHECKS: dict[str, Callable[[bool], tuple[bool, str]]] = {
 }
 
 
-def _only(values) -> tuple[bool, str]:
-    return values[0]
-
-
-# A split check runs as several items: name -> (its items for `small`, the
-# merge that folds their values, in item order, into (ok, detail)).
-_SPLIT = {"orientations": (_orientation_items, _merge_orientations)}
-
-
-def _work(name: str, small: bool):
-    """(items, merge) of the named check."""
-    if name in _SPLIT:
-        items, merge = _SPLIT[name]
-        return items(small), merge
-    return [_Item(CHECKS[name], (small,))], _only
+def _work(name: str, tier: str):
+    """(items, merge) of the named check at the tier, the merge folding the items'
+    values, in item order, into (ok, detail); only the orientation check is split."""
+    if name == "orientations":
+        return _orientation_items(tier), _merge_orientations
+    return [_Item(CHECKS[name], (tier,))], lambda values: values[0]
 
 
 def _run_item(item: _Item) -> tuple[object, str | None, float]:
@@ -529,14 +532,14 @@ def _run_pool(items: list[_Item], jobs: int) -> list[tuple[object, str | None, f
 
 
 def run_suite(
-    names: Iterable[str] | None = None, small: bool = False, jobs: int = 1
+    names: Iterable[str] | None = None, tier: str = "default", jobs: int = 1
 ) -> list[dict]:
-    """Run the named checks (all by default) as work items, on up to `jobs`
-    processes; one item, or jobs=1, runs in this process.  Each result is
-    the same whichever way it ran, apart from `seconds`, which for a split
-    check is the sum of its items' times."""
+    """Run the named checks (all by default) to the sizes of SIZES[tier], as
+    work items on up to `jobs` processes; one item, or jobs=1, runs in this
+    process.  Each result is the same whichever way it ran, apart from
+    `seconds`, which for a split check is the sum of its items' times."""
     names = list(names or CHECKS)
-    work = [_work(name, small) for name in names]
+    work = [_work(name, tier) for name in names]
     items = [item for check_items, _ in work for item in check_items]
     if min(jobs, len(items)) > 1:
         outcomes = _run_pool(items, jobs)

@@ -5,6 +5,7 @@ the CLI (`mapquot verify --suite all`)."""
 import pytest
 
 from mapquot.verify import CHECKS, run_suite
+from verify_pins import PINS, pin, record_names
 
 CRITERIA = [
     ("1 series golden values", "series_golden"),
@@ -21,11 +22,13 @@ CRITERIA = [
 
 
 @pytest.mark.parametrize("label,check", CRITERIA, ids=[c for _, c in CRITERIA])
-def test_acceptance_criterion(label, check):
-    (result,) = run_suite([check], small=False)
+def test_acceptance_criterion(label, check, monkeypatch):
+    seen = record_names(monkeypatch)
+    (result,) = run_suite([check])
     status = "PASS" if result["ok"] else "FAIL"
     print(f"{status}  criterion {label}: {result['detail']} ({result['seconds']}s)")
     assert result["ok"], f"criterion {label} failed: {result['detail']}"
+    assert pin(seen, result) == PINS["default"][check]
 
 
 def test_every_check_is_covered():

@@ -514,6 +514,15 @@ class TestVerifyCommand:
         assert payload["ok"] is True
         assert payload["results"][0]["check"] == "series_golden"
 
+    def test_max_size_offers_the_tiers_of_the_size_table(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["verify", "--help"])
+        offered = re.search(r"--max-size \{([^}]*)\}", capsys.readouterr().out).group(1)
+        assert offered.split(",") == list(verify.SIZES)
+        # each tier sizes every check
+        rows = [set(row) for row in verify.SIZES.values()]
+        assert all(row == rows[0] for row in rows)
+
     def test_unknown_check_is_usage_error(self, capsys):
         code = main(["verify", "--suite", "nonsense"])
         captured = capsys.readouterr()
@@ -548,7 +557,7 @@ class TestVerifyCommand:
         monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
         # series_golden is one item, and the orientation check one per family
         # and one for its symmetric members
-        items = 1 + len(verify._orientation_items(small=True))
+        items = 1 + len(verify._orientation_items("small"))
         suite = ["verify", "--suite", "series_golden,orientations", "--max-size", "small"]
         code, out = run_cli(capsys, *suite, "--jobs", "64")
         assert code == 0
@@ -567,7 +576,7 @@ class TestVerifyCommand:
         code = (
             "import os, sys\n"
             "from mapquot import cli, verify\n"
-            "verify.CHECKS['dies'] = lambda small: os._exit(3)\n"
+            "verify.CHECKS['dies'] = lambda tier: os._exit(3)\n"
             "sys.exit(cli.main(['verify', '--suite', 'series_golden,dies,closed_forms',\n"
             "                   '--jobs', '2']))\n"
         )

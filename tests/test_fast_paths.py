@@ -169,7 +169,7 @@ def test_orientation_check_builds_only_simple_and_symmetric_maps(monkeypatch):
     census.symmetric_simple_triangulations(1)
     symmetric = len(built)
     built.clear()
-    ok, _ = verify.check_orientations(small=True)
+    ok, _ = verify.check_orientations("small")
     assert ok
     total = sum(map(len, families))
     assert 0 < len(built) <= simple + symmetric and 20 * len(built) < total
@@ -195,7 +195,7 @@ ORBIT_SWEEPS = [(3, 3, True, 3, 9), (3, 4, True, 2, 9), (3, 4, True, 4, 9), (3, 
 
 
 def test_orbit_search_equals_filtered_census():
-    suite = [family for family, _ in verify._symmetric_suite(small=False)]
+    suite = [family for family, _ in verify._symmetric_suite("default")]
     cases = suite + SYMMETRIC_CASES + [(3, 3, 3, 15, True)]
     for inner, outer, simple, k, top in ORBIT_SWEEPS:
         cases += [(inner, outer, k, n, simple) for n in range(top + 1)]

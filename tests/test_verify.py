@@ -3,7 +3,6 @@ series or series identity and a crashing check each say what failed and
 where."""
 
 import os
-import re
 import signal
 from fractions import Fraction
 
@@ -13,6 +12,7 @@ from mapquot import census, verify
 from mapquot.kernel import Sigmas
 from mapquot import series as S
 from mapquot.orientations import OrientationInfeasible
+from verify_pins import PINS, pin, record_names, untimed
 
 
 def _empty_at(monkeypatch, module, name, lead, empty):
@@ -60,7 +60,7 @@ def test_empty_census_family_fails_with_its_name_and_size(
 ):
     # the orientation check runs the kernel itself
     _empty_at(monkeypatch, verify if patched == "run_census" else census, patched, lead, empty)
-    ok, detail = verify.CHECKS[check](True)
+    ok, detail = verify.CHECKS[check]("small")
     assert not ok
     assert detail == expected
 
@@ -70,7 +70,7 @@ def test_orientations_fail_when_no_map_is_orientable(monkeypatch):
         raise OrientationInfeasible("no d-orientation exists")
 
     monkeypatch.setattr(verify, "find_d_orientation", infeasible)
-    ok, detail = verify.check_orientations(small=True)
+    ok, detail = verify.check_orientations("small")
     assert not ok
     n_maps = len(census.rooted_quadrangulations(2, simple=False))
     assert detail == f"no 2-orientable maps among {n_maps} of degree 4, size 2"
@@ -90,7 +90,7 @@ def test_orientations_fail_on_an_obstruction_that_is_no_hall_violator(monkeypatc
         return inside, 2 * len(inside)
 
     monkeypatch.setattr(verify, "overloaded_vertices", overloaded)
-    ok, detail = verify.check_orientations(small=True)
+    ok, detail = verify.check_orientations("small")
     assert not ok
     assert detail == "failed: 2-orientable == simple, degree 4, size 3"
 
@@ -99,7 +99,7 @@ def test_orientation_families_are_not_cached():
     # only the orientation check reads the non-simple families, so they are
     # freed once it has walked them
     census.rooted_family.cache_clear()
-    ok, _ = verify.check_orientations(small=True)
+    ok, _ = verify.check_orientations("small")
     assert ok
     assert census.rooted_family.cache_info().currsize == 0
 
@@ -174,7 +174,7 @@ def test_residuals_name_the_broken_series(monkeypatch, cold_series_caches):
         return ts + S.TruncSeries.x(order) ** 5 if name == "Y_tri" else ts
 
     monkeypatch.setattr(S, "named", named)
-    ok, detail = verify.check_residuals_substitutions(small=True)
+    ok, detail = verify.check_residuals_substitutions("small")
     assert not ok
     assert detail.startswith("failed: residual Y_tri")
     assert "residual" not in detail[len("failed: residual Y_tri"):]
@@ -188,7 +188,7 @@ def test_positivity_names_the_broken_series(monkeypatch):
         return ts + Fraction(1, 2) if (family, i) == ("tri_irred", 2) else ts
 
     monkeypatch.setattr(S, "two_point", two_point)
-    ok, detail = verify.check_positivity(small=True)
+    ok, detail = verify.check_positivity("small")
     assert not ok
     assert detail == "failed: integrality two_point[tri_irred, i=2]"
 
@@ -201,7 +201,7 @@ def test_closed_forms_name_the_broken_coefficient(monkeypatch):
         return ts + S.TruncSeries.x(order) ** 7 if name == "t" else ts
 
     monkeypatch.setattr(S, "named", named)
-    ok, detail = verify.check_closed_forms(small=True)
+    ok, detail = verify.check_closed_forms("small")
     assert not ok
     assert detail == "failed: t a4^2 = (a4 - 2)(1 - a4), t[7] factorial"
 
@@ -232,7 +232,7 @@ def test_series_golden_names_the_broken_series(monkeypatch):
 
 
 def test_a_killed_worker_fails_only_its_check(monkeypatch):
-    monkeypatch.setitem(verify.CHECKS, "killed", lambda small: os.kill(os.getpid(), signal.SIGKILL))
+    monkeypatch.setitem(verify.CHECKS, "killed", lambda tier: os.kill(os.getpid(), signal.SIGKILL))
     killed, golden = verify.run_suite(["killed", "series_golden"], jobs=2)
     assert (killed["ok"], killed["detail"]) == (False, "WorkerDied: its worker process died (signal 9)")
     assert golden["ok"]
@@ -240,7 +240,7 @@ def test_a_killed_worker_fails_only_its_check(monkeypatch):
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_run_suite_reports_where_a_check_crashed(monkeypatch, jobs):
-    def crashes(small):
+    def crashes(tier):
         raise ValueError("boom")
 
     monkeypatch.setitem(verify.CHECKS, "crashes", crashes)
@@ -255,20 +255,16 @@ def test_run_suite_reports_where_a_check_crashed(monkeypatch, jobs):
 def _untimed(results):
     """results without their timings: `seconds`, and the time in the
     series_golden detail."""
-    return [{**r, "seconds": None, "detail": re.sub(r" in [0-9.]+s$", " in Ts", r["detail"])}
-            for r in results]
+    return [{**r, "seconds": None, "detail": untimed(r["detail"])} for r in results]
 
 
-def test_a_suite_gives_the_same_results_in_one_process_and_on_two():
-    serial = verify.run_suite(list(verify.CHECKS), small=True, jobs=1)
-    # a map dropped or doubled by the census moves these counts
-    details = {r["check"]: r["detail"] for r in serial}
-    assert {name: details[name] for name in ("orientations", "quotient_lemmas")} == {
-        "orientations": "181 leftmost paths traced",
-        "quotient_lemmas": "241 symmetric maps checked",
-    }
+def test_a_suite_gives_the_same_results_in_one_process_and_on_two(monkeypatch):
+    seen = record_names(monkeypatch)
+    serial = verify.run_suite(list(verify.CHECKS), "small", jobs=1)
     assert all(r["ok"] for r in serial)
-    assert _untimed(verify.run_suite(list(verify.CHECKS), small=True, jobs=2)) == _untimed(serial)
+    # a size moved, or a map dropped or doubled by the census, moves these pins
+    assert {r["check"]: pin(seen, r) for r in serial} == PINS["small"]
+    assert _untimed(verify.run_suite(list(verify.CHECKS), "small", jobs=2)) == _untimed(serial)
 
 
 def test_a_split_check_names_its_broken_families_in_family_order(monkeypatch):
@@ -288,7 +284,7 @@ def test_a_split_check_names_its_broken_families_in_family_order(monkeypatch):
     expected = ("failed: 2-orientable == simple, degree 4, size 4, "
                 "3-orientable == simple, degree 3, size 6")
     for jobs in (1, 2):
-        (result,) = verify.run_suite(["orientations"], small=True, jobs=jobs)
+        (result,) = verify.run_suite(["orientations"], "small", jobs=jobs)
         assert not result["ok"]
         assert result["detail"] == expected
 
@@ -298,7 +294,7 @@ def test_quotient_lemmas_name_the_broken_lemma_and_family(monkeypatch):
         return {"vertices": True, "enclosing_girth": sym.order_k != 3}
 
     monkeypatch.setattr(verify, "verify_quotient_lemmas", lemmas)
-    ok, detail = verify.check_quotient_lemmas(small=True)
+    ok, detail = verify.check_quotient_lemmas("small")
     assert not ok
     assert detail == "failed: " + ", ".join(
         [f"lemma enclosing_girth on {family}"
@@ -318,7 +314,7 @@ def test_bijections_name_the_broken_round_trip(monkeypatch):
         return tetrahedron if m.n_faces == 4 else back
 
     monkeypatch.setattr(verify, "phi_tri_inverse", inverse)
-    ok, detail = verify.check_bijections(small=True)
+    ok, detail = verify.check_bijections("small")
     assert not ok
     assert detail == "failed: round trip phi_tri, size 3"
 
@@ -331,7 +327,7 @@ def test_bijections_name_the_broken_census_form_of_phi(monkeypatch):
         return ts + S.TruncSeries.x(order) ** 3 if name == "q" else ts
 
     monkeypatch.setattr(S, "named", named)
-    ok, detail = verify.check_bijections(small=True)
+    ok, detail = verify.check_bijections("small")
     assert not ok
     assert detail == "failed: phi members, size 2 = (n+1) q[n+1]/2"
 
@@ -339,14 +335,14 @@ def test_bijections_name_the_broken_census_form_of_phi(monkeypatch):
 def test_orientations_name_the_broken_statement_and_family(monkeypatch):
     real = verify.is_minimal
     monkeypatch.setattr(verify, "is_minimal", lambda o: real(o) and o.base.n_faces != 6)
-    ok, detail = verify.check_orientations(small=True)
+    ok, detail = verify.check_orientations("small")
     assert not ok
     assert detail == "failed: minimal, degree 3, size 6"
 
 
 def test_orientations_name_the_broken_symmetric_member(monkeypatch):
     monkeypatch.setattr(verify, "check_symmetric_minimal", lambda sym, o: sym.order_k != 3)
-    ok, detail = verify.check_orientations(small=True)
+    ok, detail = verify.check_orientations("small")
     assert not ok
     assert detail == "failed: symmetric minimal, k=3, size 1"
 
@@ -355,7 +351,7 @@ def test_census_series_names_the_broken_coefficient(monkeypatch):
     real = census.rooted_quadrangulations
     monkeypatch.setattr(census, "rooted_quadrangulations",
                         lambda n, **kw: list(real(n, **kw))[1:] if n == 5 else real(n, **kw))
-    ok, detail = verify.check_census_series(small=True)
+    ok, detail = verify.check_census_series("small")
     assert not ok
     assert detail == "failed: q[5] = census"
 
@@ -368,6 +364,6 @@ def test_two_point_census_names_the_broken_coefficient(monkeypatch):
         return {**t, 2: t[2] + 1} if n == 3 else t
 
     monkeypatch.setattr(census, "two_point_quad_table", table)
-    ok, detail = verify.check_two_point_census(small=True)
+    ok, detail = verify.check_two_point_census("small")
     assert not ok
     assert detail == "failed: two_point[quad, i=2][3] = census"
