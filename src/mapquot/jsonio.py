@@ -11,10 +11,12 @@ edge pairing is implicit (alpha(d) = d xor 1, edge id = d >> 1).  The
 from __future__ import annotations
 
 import json
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from mapquot.maps import MapError, PlaneMap, PointedMap, SymmetricMap
-from mapquot.orientations import Orientation
+
+if TYPE_CHECKING:
+    from mapquot.orientations import Orientation
 
 
 def map_record(
@@ -102,6 +104,8 @@ def parse_map(record: dict) -> dict:
             raise MapError("rho requires both k and a pointed vertex")
         out["symmetric"] = SymmetricMap(out["pointed"], record["k"], tuple(record["rho"]))
     if record.get("orient") is not None:
+        from mapquot.orientations import Orientation
+
         bits = record["orient"]
         if len(bits) != m.n_edges:
             raise MapError("orient array must have one entry per edge")

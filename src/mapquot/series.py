@@ -157,14 +157,14 @@ class TruncSeries:
     def __pow__(self, k: int):
         if k < 0:
             return TruncSeries.const(1, self.order).divide(self) ** (-k)
-        result = TruncSeries.const(1, self.order)
-        base = self
+        result, base = None, self  # base is self ** (2 ** j) at bit j of k
         while k:
             if k & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             k >>= 1
-        return result
+            if k:
+                base = base * base
+        return TruncSeries.const(1, self.order) if result is None else result
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncSeries):

@@ -399,20 +399,22 @@ def _symmetric_distances(n: int) -> Counter:
 def check_two_point_census(tier: str = "default") -> tuple[bool, str]:
     """Distance-refined series coefficients equal census counts."""
     nmax, ntri = SIZES[tier]["two_point_quad"], SIZES[tier]["two_point_tri"]
-    readings = [  # family, its census by distance at size n, the sizes and distances compared
-        ("quad", census.two_point_quad_table, range(1, nmax + 1), (1, 2, 3)),
-        ("tri", lambda n: census.pointed_distance_table(3, 2 * n + 1), range(0, ntri + 1), (1, 2)),
-        ("quad_simple", _symmetric_distances, range(1, 4), (1, 2)),
+    readings = [  # family, its census by distance at size n, the sizes compared
+        ("quad", census.two_point_quad_table, range(1, nmax + 1)),
+        ("tri", lambda n: census.pointed_distance_table(3, 2 * n + 1), range(0, ntri + 1)),
+        ("quad_simple", _symmetric_distances, range(1, 4)),
     ]
     checks = []
-    for family, reading, sizes, distances in readings:
-        F = {i: S.two_point(family, i, sizes[-1]) for i in distances}
-        for n in sizes:
-            table = reading(n)
+    for family, reading, sizes in readings:
+        tables = {n: reading(n) for n in sizes}
+        for n, table in tables.items():
             if not table:
                 return False, f"no census members for two_point[{family}] at size {n}"
-            checks += [(f"two_point[{family}, i={i}][{n}] = census", F[i][n] == table.get(i, 0))
-                       for i in distances]
+        # every distance some table holds, and one past them all, which reads 0
+        distances = range(1, max(max(table) for table in tables.values()) + 2)
+        F = {i: S.two_point(family, i, sizes[-1]) for i in distances}
+        checks += [(f"two_point[{family}, i={i}][{n}] = census", F[i][n] == table.get(i, 0))
+                   for n, table in tables.items() for i in distances]
     return _named_result(checks, f"two-point tables to size {nmax} (quad), {2*ntri+1} inner (tri)")
 
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mapquot import census, jsonio, verify
+from mapquot import census, cli, jsonio, verify
 from mapquot import series as S
 from mapquot.cli import build_parser, main
 from mapquot.maps import DissectionSpec, PlaneMap, unrooted_code
@@ -644,6 +644,67 @@ def test_a_split_enumerate_imports_no_process_pool():
                           env={"PYTHONPATH": str(src)}, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == '{"count":1938,"size":8}\n2 []\n'
+
+
+OTHER_SUBCOMMAND_MODULES = {"series", "verify", "quotient", "orientations", "render"}
+
+
+@pytest.mark.parametrize("argv,unloaded", [
+    (["enumerate", "--inner-degree", "4", "--outer-degree", "4", "--size", "5", "--simple",
+      "--count-only"], OTHER_SUBCOMMAND_MODULES),
+    (["enumerate", "--inner-degree", "3", "--outer-degree", "3", "--size", "1", "--simple",
+      "--symmetric", "3"], OTHER_SUBCOMMAND_MODULES),
+    (["--help"], OTHER_SUBCOMMAND_MODULES | {"census"}),
+    (["verify", "--suite", "series_golden", "--max-size", "small"], set()),
+], ids=["enumerate", "enumerate-symmetric", "help", "verify"])
+def test_a_subcommand_loads_only_its_own_modules(argv, unloaded):
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import json, sys\n"
+        "from mapquot import cli\n"
+        "try:\n"
+        "    code = cli.main(sys.argv[1:])\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "print(json.dumps([code, [m[8:] for m in sys.modules if m.startswith('mapquot.')]]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          env={"PYTHONPATH": str(src)}, timeout=60)
+    assert proc.stderr == ""
+    *output, last = proc.stdout.splitlines()
+    code, loaded = json.loads(last)
+    assert code == 0
+    assert not unloaded & set(loaded)
+    if argv[0] == "verify":
+        assert json.loads(output[0])["ok"] is True
+
+
+def _printed(parse, argv) -> tuple:
+    """(exit status, stdout, stderr) of parse(argv), which exits."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as exit_:
+        parse(argv)
+    return exit_.value.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("command", [None, *cli.SUBCOMMANDS])
+def test_main_prints_the_help_and_usage_errors_of_the_full_parser(command):
+    """main adds the arguments of the invoked subcommand only, and prints what
+    the parser of every subcommand prints."""
+    usage_error = ["no-such-command"] if command is None else [command, "--no-such-option"]
+    for argv in ([*usage_error[:-1], "--help"], usage_error):
+        status, out, err = _printed(main, argv)
+        assert (status, out, err) == _printed(build_parser().parse_args, argv)
+        assert status == (0 if argv[-1] == "--help" else 2)
+
+
+def test_a_series_error_is_one_usage_error_line():
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "mapquot.cli", "two-point", "--family", "quad", "--i", "0"],
+        capture_output=True, text=True, env={"PYTHONPATH": str(src)}, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", "error: distance must be at least 1\n")
 
 
 # a path u-v-w: edges 0 and 1 both join u and v, edge 3 is a loop at w

@@ -100,6 +100,22 @@ class TestArithmetic:
         one_minus = TruncSeries([1, -1, 0])
         assert ints(one_plus * one_minus) == [1, 0, -1]
 
+    def test_power_is_repeated_product_by_square_and_multiply(self, monkeypatch):
+        s = TruncSeries([1, 2, -3, Fraction(1, 2), 5, 0, 7])
+        power = TruncSeries.const(1, s.order)
+        products = []
+        for k in range(9):
+            mul = TruncSeries.__mul__
+            monkeypatch.setattr(TruncSeries, "__mul__",
+                                lambda a, b: products.append(k) or mul(a, b))
+            assert (s ** k).coeffs == power.coeffs
+            monkeypatch.undo()
+            power = power * s
+            # one squaring a bit below the highest, one product a set bit above the lowest
+            assert products.count(k) == max(k.bit_length() - 1, 0) + max(k.bit_count() - 1, 0)
+        inverse = TruncSeries.const(1, s.order).divide(s)
+        assert (s ** -3).coeffs == (inverse * inverse * inverse).coeffs
+
     def test_derivative_of_q(self):
         qp = S.named("q", 8).derivative()
         assert ints(qp) == [0, 2, 6, 24, 110, 546, 2856, 15504]

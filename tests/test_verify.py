@@ -367,3 +367,22 @@ def test_two_point_census_names_the_broken_coefficient(monkeypatch):
     ok, detail = verify.check_two_point_census("small")
     assert not ok
     assert detail == "failed: two_point[quad, i=2][3] = census"
+
+
+@pytest.mark.parametrize("patched,args,distance,name", [
+    # beyond every distance the quad tables hold
+    ("two_point_quad_table", (3,), 4, "two_point[quad, i=4][3]"),
+    # 5 inner triangles
+    ("pointed_distance_table", (3, 5), 3, "two_point[tri, i=3][2]"),
+], ids=["quad-beyond", "tri"])
+def test_two_point_census_compares_every_distance(monkeypatch, patched, args, distance, name):
+    real = getattr(census, patched)
+
+    def table(*a):
+        t = real(*a)
+        return {**t, distance: t.get(distance, 0) + 1} if a == args else t
+
+    monkeypatch.setattr(census, patched, table)
+    ok, detail = verify.check_two_point_census("small")
+    assert not ok
+    assert detail == f"failed: {name} = census"

@@ -20,7 +20,7 @@ PINS = {
         "bijections": (91, "6c89a83c81204208", "theorem cardinalities and round trips to n=4"),
         "quotient_lemmas": (2286, "b2d570e6d8512803", "298 symmetric maps checked"),
         "orientations": (41, "79bf7958bf045479", "5922 leftmost paths traced"),
-        "two_point_census": (28, "3d4eed47405395ac",
+        "two_point_census": (62, "a0a4f53cc55eb606",
                              "two-point tables to size 4 (quad), 9 inner (tri)"),
         "residuals_substitutions": (28, "cfe6584bb698e528",
                                     "residuals to 30, substitutions to 15"),
@@ -36,7 +36,7 @@ PINS = {
         "bijections": (34, "2a6129464fb083e6", "theorem cardinalities and round trips to n=3"),
         "quotient_lemmas": (1887, "73bf6212a79114d6", "241 symmetric maps checked"),
         "orientations": (24, "7f877150661569ff", "181 leftmost paths traced"),
-        "two_point_census": (23, "a30d3d5709151ab2",
+        "two_point_census": (44, "597e64543f68cc55",
                              "two-point tables to size 3 (quad), 7 inner (tri)"),
         "residuals_substitutions": (28, "cfe6584bb698e528",
                                     "residuals to 15, substitutions to 12"),
