@@ -2,11 +2,13 @@
 
 All counts are exact.  Rooted maps are enumerated exactly once by the gluing
 kernel; unrooted objects (plain, pointed, or mark-carrying) are counted as
-equivalence classes of canonical codes, re-rooting along the outer contour.
+equivalence classes of canonical codes, re-rooting along the outer contour,
+and pointed ones by distance also by Burnside's lemma over the rootings.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence
@@ -21,10 +23,10 @@ from mapquot.maps import (
     distances_from,
     fixed_vertex,
     is_irreducible,
-    is_quasi_simple,
     is_simple,
     marked_code,
     minimal_rootings,
+    quasi_simple_vertices,
     radial_distance,
     rotation,
     unrooted_code,
@@ -191,6 +193,16 @@ def marked_edge_count(maps) -> int:
     return len(codes)
 
 
+def _pointed_family(inner_deg: int, n_inner: int) -> _Family:
+    """The rooted family whose maps are pointed: quadrangular 2-dissections
+    (inner_deg=4) or triangular 1-dissections (inner_deg=3)."""
+    if inner_deg == 4:
+        return rooted_quad_2_dissections(n_inner)
+    if inner_deg == 3:
+        return rooted_tri_1_dissections(n_inner)
+    raise MapError("inner degree must be 3 or 4")
+
+
 def _pointed_classes(
     inner_deg: int,
     n_inner: int,
@@ -204,14 +216,8 @@ def _pointed_classes(
     pointed class, so it is skipped whole, and the marked codes of a map are
     told apart within it alone (bare codes differ between classes).  One
     breadth-first search from the outer vertices gives every distance."""
-    if inner_deg == 4:
-        fam = rooted_quad_2_dissections(n_inner)
-    elif inner_deg == 3:
-        fam = rooted_tri_1_dissections(n_inner)
-    else:
-        raise MapError("inner degree must be 3 or 4")
     seen = set()
-    for m in fam:
+    for m in _pointed_family(inner_deg, n_inner):
         rootings = minimal_rootings(m)
         bare = rootings[0]
         if bare in seen:
@@ -219,10 +225,8 @@ def _pointed_classes(
         seen.add(bare)
         dist = distances_from(m, *m.outer_vertices())
         codes = set()
-        for v in m.inner_vertices():
+        for v in sorted(quasi_simple_vertices(m)) if quasi_simple else m.inner_vertices():
             if distance is not None and dist[v] != distance:
-                continue
-            if quasi_simple and not is_quasi_simple(PointedMap(m, v)):
                 continue
             code = marked_code(m, rootings, pointed=v)
             if code not in codes:
@@ -255,12 +259,20 @@ def count_pointed_dissections(
 
 
 def pointed_distance_table(inner_deg: int, n_inner: int) -> dict[int, int]:
-    """count_pointed_dissections at every distance i >= 1, in one pass over
-    the family: {i: count}, without the distances that have no class."""
-    table: dict[int, int] = {}
-    for _, _, i in _pointed_classes(inner_deg, n_inner, None, False):
-        table[i] = table.get(i, 0) + 1
-    return table
+    """count_pointed_dissections at every distance i >= 1, {i: count}, by
+    Burnside's lemma over the rootings.  A triangular 1-dissection has one
+    rooting, so its classes are its inner vertices.  A quadrangular
+    2-dissection has two, swapped by a group of order 2 that fixes a pointed
+    map when an order-2 rotation fixes its point: half the inner vertices of
+    every rooted map and the order-2 symmetric members, each fixed with its
+    center."""
+    table = Counter()
+    for m in _pointed_family(inner_deg, n_inner):
+        table.update(i for i in distances_from(m, *m.outer_vertices()) if i)
+    if inner_deg == 3:
+        return dict(table)
+    table.update(radial_distance(sm.base) for sm in symmetric_members(4, 2, 2, n_inner))
+    return {i: c // 2 for i, c in table.items()}
 
 
 def two_point_quad_table(n: int) -> dict[int, int]:
@@ -342,12 +354,7 @@ def rooted_marked_face_quads(n_inner: int) -> int:
 
 def rooted_quasi_simple_pointed_2d(n_inner: int) -> int:
     """Rooted quasi-simple pointed quadrangular 2-dissections, n_inner inner faces."""
-    total = 0
-    for m in rooted_quad_2_dissections(n_inner):
-        for v in m.inner_vertices():
-            if is_quasi_simple(PointedMap(m, v)):
-                total += 1
-    return total
+    return sum(len(quasi_simple_vertices(m)) for m in rooted_quad_2_dissections(n_inner))
 
 
 # -- declarative queries ------------------------------------------------------

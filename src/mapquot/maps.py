@@ -402,26 +402,26 @@ def is_simple(m: PlaneMap) -> bool:
     return True
 
 
-def is_quasi_simple(p: PointedMap) -> bool:
-    """True when the pointed vertex lies strictly inside every 1- or 2-cycle.
+def quasi_simple_vertices(m: PlaneMap) -> frozenset[int]:
+    """The inner vertices v for which PointedMap(m, v) is quasi-simple: those
+    strictly inside every 1- or 2-cycle.
 
     Two nested loops at one vertex count as a 2-cycle whose interior is the
     annulus between them; once every loop must enclose the point, that rules
-    out a second loop on the same vertex.
+    out a second loop on the same vertex, so a map with one has no such vertex.
     """
-    m = p.base
-    loops_at: dict[int, int] = {}
-    for e in range(m.n_edges):
-        if m.is_loop_edge(e):
-            v = m.vertex_of[2 * e]
-            loops_at[v] = loops_at.get(v, 0) + 1
-    if any(c > 1 for c in loops_at.values()):
-        return False
+    loops = [m.vertex_of[2 * e] for e in range(m.n_edges) if m.is_loop_edge(e)]
+    if len(set(loops)) < len(loops):
+        return frozenset()
+    inside = frozenset(m.inner_vertices())
     for cyc in simple_cycles(m, max_length=2):
-        _, inside = cycle_interior(m, cyc)
-        if p.pointed_vertex not in inside:
-            return False
-    return True
+        inside &= cycle_interior(m, cyc)[1]
+    return inside
+
+
+def is_quasi_simple(p: PointedMap) -> bool:
+    """True when the pointed vertex lies strictly inside every 1- or 2-cycle."""
+    return p.pointed_vertex in quasi_simple_vertices(p.base)
 
 
 def is_irreducible(m: PlaneMap, d: int) -> bool:

@@ -21,7 +21,14 @@ from typing import Callable, Iterable, NamedTuple
 from mapquot import census
 from mapquot import series as S
 from mapquot.kernel import run_census, run_forked
-from mapquot.maps import PlaneMap, is_simple, radial_distance, unrooted_code
+from mapquot.maps import (
+    PlaneMap,
+    is_simple,
+    quasi_simple_vertices,
+    radial_distance,
+    simple_cycles,
+    unrooted_code,
+)
 from mapquot.orientations import (
     OrientationInfeasible,
     PathSelfIntersects,
@@ -55,18 +62,95 @@ class _Item(NamedTuple):
 
 
 # How far each check goes, by --max-size tier: series orders, and the sizes or the
-# largest size of each census family walked.  A size no tier changes stays in its check.
+# largest size of each census family walked.  A size no tier changes stays in its check,
+# and the sizes of each census reading stay in its row of READINGS.
 SIZES = {
-    "default": {"closed_forms": 50, "census_q": 6, "census_t": 4, "census_f_quad": 6, "phi": 4,
-                "symmetric_quads": (2, 4, 6, 8), "symmetric_tris": (3, 9),
-                "orientation_quads": 7, "orientation_tris": 10, "orientation_symmetric": 3,
-                "two_point_quad": 4, "two_point_tri": 4, "residuals": 30, "substitutions": 15,
+    "default": {"closed_forms": 50, "phi": 4, "symmetric_quads": (2, 4, 6, 8),
+                "symmetric_tris": (3, 9), "orientation_quads": 7, "orientation_tris": 10,
+                "orientation_symmetric": 3, "residuals": 30, "substitutions": 15,
                 "integrality": 20, "telescoping": 4},
-    "small": {"closed_forms": 25, "census_q": 5, "census_t": 3, "census_f_quad": 3, "phi": 3,
-              "symmetric_quads": (2, 4, 6), "symmetric_tris": (3,),
-              "orientation_quads": 5, "orientation_tris": 6, "orientation_symmetric": 2,
-              "two_point_quad": 3, "two_point_tri": 3, "residuals": 15, "substitutions": 12,
+    "small": {"closed_forms": 25, "phi": 3, "symmetric_quads": (2, 4, 6),
+              "symmetric_tris": (3,), "orientation_quads": 5, "orientation_tris": 6,
+              "orientation_symmetric": 2, "residuals": 15, "substitutions": 12,
               "integrality": 12, "telescoping": 3},
+}
+
+
+class Reading(NamedTuple):
+    """How the census reads one series: count, n -> the census count at size
+    n (for a two-point family, its census by distance, {i: count}); the sizes
+    n read, by --max-size tier; and the noun that names the family when it
+    is empty."""
+
+    count: Callable[[int], int | dict[int, int]]
+    sizes: dict[str, range]
+    noun: str = "census members"
+
+
+def _sizes(first: int, default: int, small: int) -> dict[str, range]:
+    """The sizes first..default at the default tier, first..small at the small one."""
+    return {"default": range(first, default + 1), "small": range(first, small + 1)}
+
+
+def _simple_tris(n: int):
+    """Rooted simple triangulations with 2n faces."""
+    return census.rooted_triangulations(2 * n, simple=True)
+
+
+def _one_2_cycle(n: int) -> list[PlaneMap]:
+    """The rooted quadrangular 2-dissections with n inner faces (all of
+    rooted_family(2, 4, n), which is bipartite) with no loop and no 2-cycle
+    but the outer one."""
+    return [m for m in census.rooted_quad_2_dissections(n) if len(simple_cycles(m, 2)) == 1]
+
+
+def _symmetric_distances(inner_deg: int, k: int, n: int) -> Counter:
+    """The simple k-symmetric dissections of size n, by the two-point size
+    conventions (kn inner faces in the 2k-gon, quadrangular; (2n+1)k in the
+    k-gon, triangular), counted by the distance from the center to the outer
+    boundary."""
+    outer, n_inner = (2 * k, k * n) if inner_deg == 4 else (k, (2 * n + 1) * k)
+    members = census.symmetric_members(inner_deg, outer, k, n_inner, simple=True)
+    return Counter(radial_distance(sm.base) for sm in members)
+
+
+#: every series the census reads, each once: a catalogue series by its name, and a
+#: two-point family by (family, k), read on the k-symmetric dissections, at k = 1 on
+#: the pointed ones.  Each row calls the census through the module, at every call.
+READINGS: dict[str | tuple[str, int], Reading] = {
+    "q": Reading(lambda n: len(census.rooted_quadrangulations(n, simple=True)),
+                 _sizes(2, 6, 5), "simple quadrangulations"),
+    "t": Reading(lambda n: len(_simple_tris(n)), _sizes(1, 4, 3), "simple triangulations"),
+    "f_quad": Reading(lambda n: len(census.rooted_sphere_quads(n)), _sizes(1, 6, 3),
+                      "sphere quadrangulations"),
+    "f_tri": Reading(lambda n: len(census.simply_rooted_sphere_tris(2 * n)), _sizes(1, 3, 3),
+                     "simply rooted sphere triangulations"),
+    "d_quad": Reading(lambda n: census.rooted_quasi_simple_pointed_2d(n), _sizes(1, 4, 3),
+                      "rooted quasi-simple pointed quadrangular 2-dissections"),
+    "d3_tri": Reading(lambda n: census.count_pointed_dissections(3, 2 * n - 1, quasi_simple=True),
+                      _sizes(1, 4, 3), "quasi-simple pointed triangular 1-dissections"),
+    "v_tri": Reading(lambda n: sum(len(quasi_simple_vertices(m))
+                                   for m in census.rooted_family(2, 3, 2 * n)),
+                     _sizes(1, 3, 2), "rooted quasi-simple pointed triangular 2-dissections"),
+    "s_tri": Reading(lambda n: census.marked_edge_count(_simple_tris(n)), _sizes(1, 4, 3),
+                     "simple triangulations with a marked edge"),
+    "t_vertex": Reading(lambda n: sum(m.n_vertices - 2 for m in _simple_tris(n)),
+                        _sizes(1, 5, 4), "rooted simple triangulations with a marked vertex"),
+    "t_edge": Reading(lambda n: sum(m.n_edges - 1 for m in _simple_tris(n)),
+                      _sizes(1, 5, 4), "rooted simple triangulations with a marked edge"),
+    "t_rootedge": Reading(lambda n: sum(m.degree(m.vertex_of[m.root_dart]) - 1
+                                        for m in _simple_tris(n)), _sizes(1, 5, 4),
+                          "rooted simple triangulations with a marked edge at the root vertex"),
+    "a_vertex": Reading(lambda n: sum(len(m.inner_vertices()) for m in _one_2_cycle(n)),
+                        _sizes(1, 4, 3), "2-dissections with one 2-cycle and a marked vertex"),
+    "a_edge": Reading(lambda n: sum(len(m.inner_edges()) for m in _one_2_cycle(n)),
+                      _sizes(1, 4, 3), "2-dissections with one 2-cycle and a marked edge"),
+    ("quad", 1): Reading(lambda n: census.two_point_quad_table(n), _sizes(1, 4, 3)),
+    ("tri", 1): Reading(lambda n: census.pointed_distance_table(3, 2 * n + 1), _sizes(0, 4, 3)),
+    ("quad_simple", 2): Reading(lambda n: _symmetric_distances(4, 2, n), _sizes(1, 3, 3)),
+    ("quad_simple", 3): Reading(lambda n: _symmetric_distances(4, 3, n), _sizes(1, 3, 3)),
+    ("tri_simple", 3): Reading(lambda n: _symmetric_distances(3, 3, n), _sizes(0, 2, 2)),
+    ("tri_simple", 4): Reading(lambda n: _symmetric_distances(3, 4, n), _sizes(0, 2, 2)),
 }
 
 GOLDEN_Q = [0, 0, 1, 2, 6, 22, 91, 408, 1938]
@@ -170,24 +254,19 @@ def check_cross_series(tier: str = "default") -> tuple[bool, str]:
 
 
 def check_census_series(tier: str = "default") -> tuple[bool, str]:
-    """Exhaustive counts match series coefficients."""
-    families = [  # census family as a function of n, and the series whose [n] counts it
-        ("simple quadrangulations", lambda n: census.rooted_quadrangulations(n, simple=True),
-         "q", S.named("q", 10), range(2, SIZES[tier]["census_q"] + 1)),
-        ("simple triangulations", lambda n: census.rooted_triangulations(2 * n, simple=True),
-         "t", S.named("t", 10), range(1, SIZES[tier]["census_t"] + 1)),
-        ("sphere quadrangulations", census.rooted_sphere_quads,
-         "f_quad", S.named("f_quad", 6), range(1, SIZES[tier]["census_f_quad"] + 1)),
-        ("simply rooted sphere triangulations", lambda n: census.simply_rooted_sphere_tris(2 * n),
-         "f_tri", S.named("f_tri", 4), range(1, 4)),
-    ]
+    """Exhaustive counts match the coefficients of every catalogue series
+    that READINGS reads."""
     checks = []
     counts = {}
-    for family, members, name, coeffs, indices in families:
-        for n in indices:
-            c = len(members(n))
+    for name, reading in READINGS.items():
+        if isinstance(name, tuple):
+            continue
+        sizes = reading.sizes[tier]
+        coeffs = S.named(name, sizes[-1])
+        for n in sizes:
+            c = reading.count(n)
             if not c:
-                return False, f"no {family} for {name}[{n}]"
+                return False, f"no {reading.noun} for {name}[{n}]"
             checks.append((f"{name}[{n}] = census", c == coeffs[n]))
             counts.setdefault(name, []).append(c)
     return _named_result(checks, f"q counts {counts['q']}, t and sphere families match")
@@ -390,31 +469,27 @@ def check_orientations(tier: str = "default") -> tuple[bool, str]:
     return _merge_orientations([item.fn(*item.args) for item in _orientation_items(tier)])
 
 
-def _symmetric_distances(n: int) -> Counter:
-    """Symmetric simple quadrangulations with 2n inner faces, counted by
-    the distance from the center to the outer boundary."""
-    return Counter(radial_distance(sm.base) for sm in census.symmetric_simple_quadrangulations(n))
-
-
 def check_two_point_census(tier: str = "default") -> tuple[bool, str]:
-    """Distance-refined series coefficients equal census counts."""
-    nmax, ntri = SIZES[tier]["two_point_quad"], SIZES[tier]["two_point_tri"]
-    readings = [  # family, its census by distance at size n, the sizes compared
-        ("quad", census.two_point_quad_table, range(1, nmax + 1)),
-        ("tri", lambda n: census.pointed_distance_table(3, 2 * n + 1), range(0, ntri + 1)),
-        ("quad_simple", _symmetric_distances, range(1, 4)),
-    ]
+    """Distance-refined series coefficients equal census counts, for every
+    two-point family that READINGS reads, named by the family alone at k <= 2
+    and by the family and k above."""
     checks = []
-    for family, reading, sizes in readings:
-        tables = {n: reading(n) for n in sizes}
+    for key, reading in READINGS.items():
+        if isinstance(key, str):
+            continue
+        family, k = key
+        label = family if k <= 2 else f"{family}, k={k}"
+        sizes = reading.sizes[tier]
+        tables = {n: reading.count(n) for n in sizes}
         for n, table in tables.items():
             if not table:
-                return False, f"no census members for two_point[{family}] at size {n}"
+                return False, f"no {reading.noun} for two_point[{label}] at size {n}"
         # every distance some table holds, and one past them all, which reads 0
         distances = range(1, max(max(table) for table in tables.values()) + 2)
         F = {i: S.two_point(family, i, sizes[-1]) for i in distances}
-        checks += [(f"two_point[{family}, i={i}][{n}] = census", F[i][n] == table.get(i, 0))
+        checks += [(f"two_point[{label}, i={i}][{n}] = census", F[i][n] == table.get(i, 0))
                    for n, table in tables.items() for i in distances]
+    nmax, ntri = (READINGS[family, 1].sizes[tier][-1] for family in ("quad", "tri"))
     return _named_result(checks, f"two-point tables to size {nmax} (quad), {2*ntri+1} inner (tri)")
 
 
@@ -427,7 +502,7 @@ def check_residuals_substitutions(tier: str = "default") -> tuple[bool, str]:
     y_of_x = S.substitution_y_of_x(sub)
     f = S.named("f_quad", sub)
     g = S.named("g_quad", sub)
-    for i in (1, 2):
+    for i in range(1, 5):
         F = S.two_point("quad", i, sub)
         G = S.two_point("quad_simple", i, sub)
         H = S.two_point("quad_irred", i, sub)
@@ -440,7 +515,7 @@ def check_residuals_substitutions(tier: str = "default") -> tuple[bool, str]:
     g3 = S.named("g_tri", sub)
     yv = S.TruncSeries.x(sub)
     z_of_y = S.substitution_z_of_y_tri(sub)
-    for i in (1, 2):
+    for i in range(1, 5):
         F = S.two_point("tri", i, sub)
         G = S.two_point("tri_simple", i, sub)
         H = S.two_point("tri_irred", i, sub)

@@ -163,6 +163,17 @@ class TestPointed:
         assert census.pointed_dissection_classes(inner_deg, n_inner) == [p for p, _ in classes]
 
 
+@pytest.mark.parametrize(
+    "inner_deg,n_inner", [(4, n) for n in range(1, 7)] + [(3, n) for n in range(1, 12, 2)]
+)
+def test_burnside_table_equals_code_count(inner_deg, n_inner):
+    # the oracle: the pointed classes told apart by their marked codes
+    codes = {}
+    for _, _, i in census._pointed_classes(inner_deg, n_inner, None, False):
+        codes[i] = codes.get(i, 0) + 1
+    assert census.pointed_distance_table(inner_deg, n_inner) == codes
+
+
 class TestSymmetric:
     def test_symmetric_equals_marked_edge_quad(self):
         for n in (1, 2, 3):

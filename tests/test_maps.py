@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mapquot import census
 from mapquot.maps import (
     Disconnected,
     MapError,
@@ -19,6 +20,7 @@ from mapquot.maps import (
     is_irreducible,
     is_quasi_simple,
     is_simple,
+    quasi_simple_vertices,
     radial_distance,
     rotation,
     simple_cycles,
@@ -152,6 +154,16 @@ class TestPredicates:
         p = w_fan_pointed()
         assert not is_simple(p.base)
         assert is_quasi_simple(p)
+
+    @pytest.mark.parametrize("outer,inner,n", [(2, 4, 4), (1, 3, 7), (2, 3, 6)])
+    def test_quasi_simple_vertices_are_those_of_the_definition(self, outer, inner, n):
+        # vertex by vertex: no vertex has two loops, and the vertex lies
+        # strictly inside every 1- or 2-cycle
+        for m in census.rooted_family(outer, inner, n):
+            loops = [m.vertex_of[2 * e] for e in range(m.n_edges) if m.is_loop_edge(e)]
+            expected = {v for v in m.inner_vertices() if len(set(loops)) == len(loops) and all(
+                v in cycle_interior(m, cyc)[1] for cyc in simple_cycles(m, max_length=2))}
+            assert quasi_simple_vertices(m) == expected
 
     def test_nested_rings_not_irreducible(self):
         assert not is_irreducible(ring_quadrangulation(3), 4)

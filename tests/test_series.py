@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mapquot import census
 from mapquot import series as S
+from mapquot import verify
 from mapquot.series import (
     BadDistance,
     DivisorNotUnit,
@@ -14,6 +14,7 @@ from mapquot.series import (
     TruncSeries,
     UnknownName,
 )
+from verify_pins import wrong_series
 
 GOLDEN_Q = [0, 0, 1, 2, 6, 22, 91, 408, 1938]
 GOLDEN_T = [0, 1, 1, 3, 13, 68, 399, 2530, 16965]
@@ -301,38 +302,15 @@ class TestDerivedSeries:
         assert tr * t == (t - x)
 
 
-def _simple_triangulations(n):
-    return census.rooted_triangulations(2 * n, simple=True)
-
-
-# each size convention that names a census family, with that family's count
-# at size n and the largest n compared
-CENSUS_READINGS = {
-    "d_quad": ("rooted quasi-simple pointed quadrangular 2-dissections, inner faces",
-               census.rooted_quasi_simple_pointed_2d, 4),
-    "d3_tri": ("quasi-simple pointed triangular 1-dissections, half faces",
-               lambda n: census.count_pointed_dissections(3, 2 * n - 1, quasi_simple=True), 4),
-    "s_tri": ("simple triangulations with a marked edge, half faces",
-              lambda n: census.marked_edge_count(_simple_triangulations(n)), 4),
-    "t_vertex": ("rooted simple triangulations, marked vertex off the root edge, half faces",
-                 lambda n: sum(m.n_vertices - 2 for m in _simple_triangulations(n)), 5),
-    "t_edge": ("rooted simple triangulations, marked edge other than the root edge, half faces",
-               lambda n: sum(m.n_edges - 1 for m in _simple_triangulations(n)), 5),
-    "t_rootedge": ("rooted simple triangulations, marked edge at the root vertex other than the "
-                   "root edge, half faces",
-                   lambda n: sum(m.degree(m.vertex_of[m.root_dart]) - 1
-                                 for m in _simple_triangulations(n)), 5),
-}
-
-
-@pytest.mark.parametrize("name", sorted(CENSUS_READINGS))
-def test_size_convention_meets_the_census(name):
-    convention, count, nmax = CENSUS_READINGS[name]
-    assert S.CATALOGUE[name].convention == convention
-    counts = [count(n) for n in range(1, nmax + 1)]
-    assert all(counts), (name, counts)
-    series = S.named(name, nmax)
-    assert [series[n] for n in range(1, nmax + 1)] == counts
+@pytest.mark.parametrize("name", [name for name in verify.READINGS if isinstance(name, str)])
+def test_size_convention_meets_the_census(monkeypatch, name):
+    # census_series reads the series against its row of verify.READINGS to the
+    # last small size, so one wrong coefficient there fails it, named
+    n = verify.READINGS[name].sizes["small"][-1]
+    wrong_series(monkeypatch, name, n)
+    ok, detail = verify.check_census_series("small")
+    assert not ok
+    assert f"{name}[{n}] = census" in detail.removeprefix("failed: ").split(", ")
 
 
 LEMMAS = ["xy_quad", "yz_quad", "xy_triang", "yz_triang"]

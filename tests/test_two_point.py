@@ -1,15 +1,27 @@
+"""The two-point series against the census.  verify.READINGS pairs each
+family with its census; these tests give two_point_census one wrong
+coefficient at the last small size and expect exactly that comparison, at
+each reading of the family, to fail."""
+
 import pytest
 
-from mapquot import census
+from mapquot import census, verify
 from mapquot import series as S
+from verify_pins import wrong_two_point
+
+
+def assert_two_point_census_names(monkeypatch, family, i, n, labels):
+    """check_two_point_census at the small tier, with coefficient n of
+    two_point(family, i) wrong, fails naming that comparison at each label."""
+    wrong_two_point(monkeypatch, family, i, n)
+    names = [f"two_point[{label}, i={i}][{n}] = census" for label in labels]
+    assert verify.check_two_point_census("small") == (False, "failed: " + ", ".join(names))
 
 
 class TestQuadAgainstCensus:
     @pytest.mark.parametrize("i", [1, 2, 3])
-    def test_coefficients_are_census_counts(self, i):
-        F = S.two_point("quad", i, 4)
-        for n in range(1, 5):
-            assert F[n] == census.two_point_quad_table(n).get(i, 0)
+    def test_coefficients_are_census_counts(self, monkeypatch, i):
+        assert_two_point_census_names(monkeypatch, "quad", i, 3, ["quad"])
 
     def test_vanishing_beyond_diameter(self):
         for n in (1, 2, 3):
@@ -31,29 +43,21 @@ class TestQuadAgainstCensus:
 
 class TestTriAgainstCensus:
     @pytest.mark.parametrize("i", [1, 2])
-    def test_coefficients_are_pointed_dissection_counts(self, i):
-        F = S.two_point("tri", i, 3)
-        for n in range(0, 4):
-            assert F[n] == census.count_pointed_dissections(3, 2 * n + 1, distance=i)
+    def test_coefficients_are_pointed_dissection_counts(self, monkeypatch, i):
+        assert_two_point_census_names(monkeypatch, "tri", i, 3, ["tri"])
 
-    def test_smallest_dissection(self):
-        # a single inner triangle inside the outer loop, pointed at distance 1
-        assert census.count_pointed_dissections(3, 1, distance=1) == 1
-        assert S.two_point("tri", 1, 2)[0] == 1
+    def test_smallest_dissection(self, monkeypatch):
+        # size 0: a single inner triangle inside the outer loop
+        assert_two_point_census_names(monkeypatch, "tri", 1, 0, ["tri"])
 
 
 class TestSimpleFamiliesAgainstCensus:
+    # the simple families are read at two rotation orders each
     @pytest.mark.parametrize("i", [1, 2])
-    def test_quad_simple_counts_symmetric_census(self, i):
-        G = S.two_point("quad_simple", i, 3)
-        for n in range(1, 4):
-            assert G[n] == census.count_symmetric(
-                4, 4, 2, 2 * n, simple=True, distance=i
-            )
+    def test_quad_simple_counts_symmetric_census(self, monkeypatch, i):
+        assert_two_point_census_names(monkeypatch, "quad_simple", i, 3,
+                                      ["quad_simple", "quad_simple, k=3"])
 
-    def test_tri_simple_counts_symmetric_census(self):
-        G = S.two_point("tri_simple", 1, 1)
-        assert G[0] == census.count_symmetric(3, 3, 3, 3, simple=True, distance=1) == 1
-        lhs = S.two_point("tri_simple", 1, 1)[1] + S.two_point("tri_simple", 2, 1)[1]
-        rhs = census.count_symmetric(3, 3, 3, 9, simple=True)
-        assert lhs == rhs == 2
+    def test_tri_simple_counts_symmetric_census(self, monkeypatch):
+        assert_two_point_census_names(monkeypatch, "tri_simple", 1, 2,
+                                      ["tri_simple, k=3", "tri_simple, k=4"])

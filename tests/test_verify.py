@@ -12,7 +12,7 @@ from mapquot import census, verify
 from mapquot.kernel import Sigmas
 from mapquot import series as S
 from mapquot.orientations import OrientationInfeasible
-from verify_pins import PINS, pin, record_names, untimed
+from verify_pins import PINS, pin, record_names, untimed, wrong_two_point
 
 
 def _empty_at(monkeypatch, module, name, lead, empty):
@@ -178,6 +178,19 @@ def test_residuals_name_the_broken_series(monkeypatch, cold_series_caches):
     assert not ok
     assert detail.startswith("failed: residual Y_tri")
     assert "residual" not in detail[len("failed: residual Y_tri"):]
+
+
+@pytest.mark.parametrize("family,identities", [
+    ("quad_simple", ["quad F = (1+f) G(y)", "quad G = H(g)"]),
+    ("quad_irred", ["quad G = H(g)"]),
+    ("tri_simple", ["tri F = (1+f)^2 G(y)", "tri G = (g/y) H(g^2/y)"]),
+    ("tri_irred", ["tri G = (g/y) H(g^2/y)"]),
+])
+def test_substitutions_name_the_broken_two_point_series(monkeypatch, family, identities):
+    # each identity the wrong series enters fails at i = 3, and nothing else
+    wrong_two_point(monkeypatch, family, 3, 2)
+    assert verify.check_residuals_substitutions("small") == (
+        False, "failed: " + ", ".join(f"{identity}, i=3" for identity in identities))
 
 
 def test_positivity_names_the_broken_series(monkeypatch):
