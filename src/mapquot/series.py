@@ -568,80 +568,34 @@ def d3_closed_form(order: int) -> TruncSeries:
 # -- two-point families -------------------------------------------------------
 
 
-def _ratio_kernel(X: TruncSeries, i: int, j: int) -> TruncSeries:
-    """(1 - X^i)(1 - X^j) expanded; used inside unit-denominator ratios."""
-    return (1 - X**i) * (1 - X**j)
-
-
-class _QuadKernel(NamedTuple):
-    """A quadrangular kernel: the distance variable X and the limit Xinf of
-    the level series X_i, whose differences are the two-point series."""
-
-    X: TruncSeries
-    Xinf: TruncSeries
-
-    def level(self, i: int) -> TruncSeries:
-        X = self.X
-        return self.Xinf * _ratio_kernel(X, i, i + 3).divide(_ratio_kernel(X, i + 1, i + 2))
-
-    def two_point(self, i: int) -> TruncSeries:
-        return self.level(i + 1) - self.level(i)
-
-
-class _TriKernel(NamedTuple):
-    """A triangular kernel: the distance variable X, the limits of the level
-    series X_i and of the squared companion A_i^2, and the w of A_i^2's
-    correction.  In the plain family, in x, S_i = X_i + X_{i+1} + A_i^2 has
-    x S_i^2 = A_i^2, so the companion A_i = sqrt(x) S_i is sqrt(x) times a
-    power series, and X_i = 1 + x X_i (S_i + S_{i-1}): Bouttier, Di Francesco
-    and Guitter's pair for triangulations, which verify checks."""
+class _Kernel(NamedTuple):
+    """A two-point kernel: the distance variable X and the limit C of the
+    level series L_j = C (1 - c_j), with c_j = X^j (1-X)(1-X^2) /
+    ((1-X^{j+1})(1-X^{j+2})), so that L_0 = 0.  Every two-point series is a
+    difference of two consecutive levels.  In the plain triangular family, in
+    x, C = P^2 and S_i = L_i + 4P^2/(1+P) - C is Bouttier, Di Francesco and
+    Guitter's S_i = R_i + R_{i+1} + A_i^2 for triangulations, which verify
+    checks."""
 
     X: TruncSeries
-    Xinf: TruncSeries
-    Ainf2: TruncSeries
-    w: TruncSeries
+    C: TruncSeries
 
-    def level(self, i: int) -> TruncSeries:
+    def level(self, j: int) -> TruncSeries:
         X = self.X
-        return self.Xinf * _ratio_kernel(X, i, i + 2).divide((1 - X ** (i + 1)) ** 2)
-
-    def squared_companion(self, i: int) -> TruncSeries:
-        X = self.X
-        # four times the correction c in A_i^2 = A_inf^2 (1 - c)^2, so that the
-        # product stays integral until the one division by 16
-        c4 = (self.w + 1) * (X**i) * _ratio_kernel(X, 1, 2).divide(_ratio_kernel(X, i + 1, i + 2))
-        return self.Ainf2 * (4 - c4) ** 2 / 16
-
-    def two_point(self, i: int) -> TruncSeries:
-        return (self.level(i + 1) - self.level(i - 1)
-                + self.squared_companion(i) - self.squared_companion(i - 1))
-
-
-def _tri_kernel(order: int) -> _TriKernel:
-    P = named("P_tri", order)
-    return _TriKernel(named("X_tri", order), P, (2 * P * (P - 1)).divide(1 + P), P)
-
-
-def _tri_simple_kernel(order: int) -> _TriKernel:
-    Q, Qt = named("Q_tri", order), named("Qt_tri", order)
-    return _TriKernel(named("Y_tri", order), 1 / (Qt * (1 - Q) ** 2),
-                      (16 * Q).divide(Qt * (1 + Qt) ** 2 * (1 - Q) ** 2), Qt)
-
-
-def _tri_irred_kernel(order: int) -> _TriKernel:
-    R, Rt = named("R_tri", order), named("Rt_tri", order)
-    return _TriKernel(named("Z_tri", order), 1 / (Rt * (1 - R)),
-                      (16 * R).divide((Rt + 1) ** 2 * Rt * (1 - R * R)), Rt)
+        c = X**j * ((1 - X) * (1 - X * X)).divide((1 - X ** (j + 1)) * (1 - X ** (j + 2)))
+        return self.C * (1 - c)
 
 
 class TwoPoint(NamedTuple):
     """A two-point family: the variable of its series (its kernel's distance
-    variable), by which size its coefficients count, and its kernel, order ->
-    the kernel series truncated there."""
+    variable), by which size its coefficients count, its kernel, order -> the
+    kernel series truncated there, and the shift s of its levels, so that its
+    series at distance i is L_{i+s+1} - L_{i+s}."""
 
     variable: str
     convention: str
-    kernel: Callable[[int], _QuadKernel | _TriKernel]
+    kernel: Callable[[int], _Kernel]
+    shift: int
 
 
 _QUAD_SIZE = "(inner faces)/k"
@@ -650,14 +604,17 @@ _TRI_SIZE = "n, with (2n+1)k inner faces"
 #: every two-point family by name, each declared once, on its kernel
 TWO_POINT: dict[str, TwoPoint] = {
     "quad": TwoPoint("x", _QUAD_SIZE,
-                     lambda n: _QuadKernel(named("X_quad", n), named("P_quad", n))),
+                     lambda n: _Kernel(named("X_quad", n), named("P_quad", n)), 0),
     "quad_simple": TwoPoint("y", _QUAD_SIZE,
-                            lambda n: _QuadKernel(named("Y_quad", n), named("Q_quad", n))),
+                            lambda n: _Kernel(named("Y_quad", n), named("Q_quad", n)), 0),
     "quad_irred": TwoPoint("z", _QUAD_SIZE,
-                           lambda n: _QuadKernel(named("Z_quad", n), named("R_quad", n) + 1)),
-    "tri": TwoPoint("x", _TRI_SIZE, _tri_kernel),
-    "tri_simple": TwoPoint("y", _TRI_SIZE, _tri_simple_kernel),
-    "tri_irred": TwoPoint("z", _TRI_SIZE, _tri_irred_kernel),
+                           lambda n: _Kernel(named("Z_quad", n), named("R_quad", n) + 1), 0),
+    "tri": TwoPoint("x", _TRI_SIZE,
+                    lambda n: _Kernel(named("X_tri", n), named("P_tri", n) ** 2), -1),
+    "tri_simple": TwoPoint("y", _TRI_SIZE,
+                           lambda n: _Kernel(named("Y_tri", n), (1 - named("Q_tri", n)) ** -2), -1),
+    "tri_irred": TwoPoint("z", _TRI_SIZE,
+                          lambda n: _Kernel(named("Z_tri", n), 1 / (1 - named("R_tri", n))), -1),
 }
 
 
@@ -672,7 +629,8 @@ def two_point(family: str, i: int, order: int) -> TruncSeries:
         raise UnknownName(f"unknown two-point family {family!r}")
     if i <= 0:
         raise BadDistance("distance must be at least 1")
-    return entry.kernel(order).two_point(i)
+    kernel, j = entry.kernel(order), i + entry.shift
+    return kernel.level(j + 1) - kernel.level(j)
 
 
 # -- identity checks -----------------------------------------------------------

@@ -224,7 +224,7 @@ def check_cross_series(tier: str = "default") -> tuple[bool, str]:
         ("t' = a4^2", (rt - a4 * a4).is_zero()),
     ]
     # the link of part 1 to part 2: the rooted series from the two-point
-    # kernels' level series, at order 30, with X_B read at B past the order
+    # kernels' level series, at order 30, with L_B read at B past the order
     link = 30
     tl = S.named("t", link + 1).derivative()
     quad = S.TWO_POINT["quad_simple"].kernel(link)
@@ -234,19 +234,25 @@ def check_cross_series(tier: str = "default") -> tuple[bool, str]:
         ("d3_tri = x t'", (S.named("d3_tri", link) - S.TruncSeries.x(link) * tl).is_zero()),
         ("2(Q_quad - level_1) = q'", (2 * (S.named("Q_quad", link) - quad.level(1))
                                       - S.named("q", link + 1).derivative()).is_zero()),
-        ("X_{B+1} + X_B - X_1 + A^2_B - A^2_0 = t'",
-         (tri.level(B + 1) + tri.level(B) - tri.level(1)
-          + tri.squared_companion(B) - tri.squared_companion(0) - tl).is_zero()),
+        ("L_B - L_0 = t'", (tri.level(B) - tri.level(0) - tl).is_zero()),
+        # v_tri against the direct form of d3_tri, which does not read u_tri
+        ("v_tri (1 - t_edge) = t_vertex + 2 d3", (
+            S.named("v_tri", 15) * (1 - S.named("t_edge", 15))
+            - S.named("t_vertex", 15) - 2 * S.d3_closed_form(15)).is_zero()),
     ]
     # Bouttier, Di Francesco and Guitter's recursions, which the levels R_i of
-    # the plain kernels solve, with S_i = R_i + R_{i+1} + A^2_i for triangulations
+    # the plain quadrangular kernel solve, and for triangulations the levels
+    # T_i = P u_i u_{i+2} / u_{i+1}^2, with u_i = 1 - X^i, and the
+    # S_i = T_i + T_{i+1} + A_i^2 that the plain triangular kernel's levels give
     R = [S.TWO_POINT["quad"].kernel(20).level(i) for i in range(12)]
     plain = S.TWO_POINT["tri"].kernel(20)
-    T, A2 = [plain.level(i) for i in range(12)], [plain.squared_companion(i) for i in range(11)]
-    Si = [T[i] + T[i + 1] + A2[i] for i in range(11)]
+    P, u = S.named("P_tri", 20), [1 - plain.X**i for i in range(14)]
+    T = [P * (u[i] * u[i + 2]).divide(u[i + 1] ** 2) for i in range(12)]
+    gap = (4 * P * P).divide(1 + P) - plain.C  # S_inf - L_inf
+    Si = [plain.level(i) + gap for i in range(11)]
     identities += [identity for i in range(1, 11) for identity in (
         (f"BDG quad, i={i}", (R[i] - 1 - x * R[i] * (R[i - 1] + R[i] + R[i + 1])).is_zero()),
-        (f"BDG tri S_i, i={i}", (x * Si[i] * Si[i] - A2[i]).is_zero()),
+        (f"BDG tri S_i, i={i}", (x * Si[i] * Si[i] - (Si[i] - T[i] - T[i + 1])).is_zero()),
         (f"BDG tri R_i, i={i}", (T[i] - 1 - x * T[i] * (Si[i] + Si[i - 1])).is_zero()))]
     return _named_result(
         identities, "g/q/t, d3, and direct-solution identities", "failed identities"

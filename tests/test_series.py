@@ -14,6 +14,7 @@ from mapquot.series import (
     TruncSeries,
     UnknownName,
 )
+import two_point_oracle
 from verify_pins import wrong_series
 
 GOLDEN_Q = [0, 0, 1, 2, 6, 22, 91, 408, 1938]
@@ -379,22 +380,20 @@ class TestTwoPoint:
             assert (F - (1 + f3) ** 2 * G.compose(y3)).is_zero()
             assert (G - g3.divide(yv) * H.compose((g3 * g3).divide(yv))).is_zero()
 
-    def test_tri_level_decomposition(self):
-        # F_i = U_i + U_{i+1} + V_i in terms of the level series
-        order = 8
-        kernel = S.TWO_POINT["tri"].kernel(order)
-        for i in (1, 2):
-            F = S.two_point("tri", i, order)
-            U_i = kernel.level(i) - kernel.level(i - 1)
-            U_next = kernel.level(i + 1) - kernel.level(i)
-            V_i = kernel.squared_companion(i) - kernel.squared_companion(i - 1)
-            assert (F - (U_i + U_next + V_i)).is_zero()
+    @pytest.mark.parametrize("family", sorted(S.TWO_POINT))
+    def test_closed_form_equals_the_earlier_kernels(self, family):
+        # the levels X_i of the quadrangular kernels, and the levels and
+        # squared companion A_i^2 of the triangular ones
+        for order, distances in ((2, range(1, 6)), (12, range(1, 26)), (30, range(1, 13))):
+            for i in distances:
+                assert S.two_point(family, i, order) == two_point_oracle.two_point(
+                    family, i, order), (order, i)
 
     def test_counting_coefficients_are_counts(self):
         for family in S.TWO_POINT:
             S.two_point(family, 2, 8).integer_coefficients()
 
     def test_level_zero_is_zero(self):
-        # 1 - X^0 vanishes, so no level needs a special case at i = 0
+        # c_0 = 1, so no level needs a special case at j = 0
         for family, entry in S.TWO_POINT.items():
             assert entry.kernel(6).level(0).is_zero(), family

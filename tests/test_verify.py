@@ -12,7 +12,7 @@ from mapquot import census, verify
 from mapquot.kernel import Sigmas
 from mapquot import series as S
 from mapquot.orientations import OrientationInfeasible
-from verify_pins import PINS, pin, record_names, untimed, wrong_two_point
+from verify_pins import PINS, pin, record_names, untimed, wrong_series, wrong_two_point
 
 
 def _empty_at(monkeypatch, module, name, lead, empty):
@@ -108,7 +108,8 @@ def test_cross_series_names_the_broken_identity(monkeypatch):
     monkeypatch.setattr(S, "d3_closed_form", lambda order: S.TruncSeries.zero(order))
     ok, detail = verify.check_cross_series()
     assert not ok
-    assert detail == "failed identities: d3_tri closed form"
+    # both identities that read the direct form of d3_tri
+    assert detail == "failed identities: d3_tri closed form, v_tri (1 - t_edge) = t_vertex + 2 d3"
 
 
 def _break_d3_tri(monkeypatch):
@@ -124,7 +125,7 @@ def _break_level_limit(family):
 
         def kernel(order):
             k = entry.kernel(order)
-            return k._replace(Xinf=k.Xinf + S.TruncSeries.x(order) ** 5)
+            return k._replace(C=k.C + S.TruncSeries.x(order) ** 5)
 
         monkeypatch.setitem(S.TWO_POINT, family, entry._replace(kernel=kernel))
     return patch
@@ -133,7 +134,7 @@ def _break_level_limit(family):
 @pytest.mark.parametrize("patch,name", [
     (_break_d3_tri, "d3_tri = x t'"),
     (_break_level_limit("quad_simple"), "2(Q_quad - level_1) = q'"),
-    (_break_level_limit("tri_simple"), "X_{B+1} + X_B - X_1 + A^2_B - A^2_0 = t'"),
+    (_break_level_limit("tri_simple"), "L_B - L_0 = t'"),
 ], ids=["d3_tri", "quad_simple", "tri_simple"])
 def test_cross_series_names_the_broken_link_of_the_two_parts(monkeypatch, patch, name):
     patch(monkeypatch)
@@ -142,18 +143,37 @@ def test_cross_series_names_the_broken_link_of_the_two_parts(monkeypatch, patch,
     assert verify.check_cross_series() == (True, "g/q/t, d3, and direct-solution identities")
 
 
-def test_cross_series_names_the_broken_bdg_recursion(monkeypatch):
-    entry = S.TWO_POINT["quad"]
+def _wrong_level_3(monkeypatch, family):
+    """Have the family's kernel add x^5 to its level at j = 3."""
+    entry = S.TWO_POINT[family]
 
-    class WrongLevel3(S._QuadKernel):
-        def level(self, i):
-            return super().level(i) + (S.TruncSeries.x(20) ** 5 if i == 3 else 0)
+    class WrongLevel3(S._Kernel):
+        def level(self, j):
+            return super().level(j) + (S.TruncSeries.x(20) ** 5 if j == 3 else 0)
 
-    monkeypatch.setitem(S.TWO_POINT, "quad",
+    monkeypatch.setitem(S.TWO_POINT, family,
                         entry._replace(kernel=lambda order: WrongLevel3(*entry.kernel(order))))
+
+
+def test_cross_series_names_the_broken_bdg_recursion(monkeypatch):
+    _wrong_level_3(monkeypatch, "quad")
     # R_3 enters the recursions at i = 2, 3 and 4
     assert verify.check_cross_series() == (
         False, "failed identities: BDG quad, i=2, BDG quad, i=3, BDG quad, i=4")
+
+
+def test_cross_series_names_the_broken_triangular_bdg_recursion(monkeypatch):
+    _wrong_level_3(monkeypatch, "tri")
+    # S_3 enters the S-row at i = 3 and the R-rows at i = 3 and 4
+    assert verify.check_cross_series() == (
+        False, "failed identities: BDG tri S_i, i=3, BDG tri R_i, i=3, BDG tri R_i, i=4")
+
+
+def test_cross_series_reads_v_tri_past_its_census(monkeypatch):
+    # no census reading reaches v_tri[12]
+    wrong_series(monkeypatch, "v_tri", 12)
+    assert verify.check_cross_series() == (
+        False, "failed identities: v_tri (1 - t_edge) = t_vertex + 2 d3")
 
 
 @pytest.fixture
@@ -399,3 +419,23 @@ def test_two_point_census_compares_every_distance(monkeypatch, patched, args, di
     ok, detail = verify.check_two_point_census("small")
     assert not ok
     assert detail == f"failed: {name} = census"
+
+
+def test_a_dropped_census_member_fails_the_checks_that_count_it(monkeypatch):
+    # the last simple quadrangulation with 4 inner faces in a square and a
+    # rotation of order 2 goes missing; quotient_lemmas checks one map fewer
+    # and does not notice
+    real = census.symmetric_members
+
+    def members(inner_deg, outer_deg, k, n_inner, simple=False, distance=None):
+        found = real(inner_deg, outer_deg, k, n_inner, simple, distance)
+        dropped = (inner_deg, outer_deg, k, n_inner, simple, distance) == (4, 4, 2, 4, True, None)
+        return found[:-1] if dropped else found
+
+    monkeypatch.setattr(census, "symmetric_members", members)
+    failed = {r["check"]: r["detail"]
+              for r in verify.run_suite(list(verify.CHECKS), "small", jobs=1) if not r["ok"]}
+    assert failed == {
+        "bijections": "failed: cardinality phi, size 2, phi members, size 2 = (n+1) q[n+1]/2",
+        "two_point_census": "failed: two_point[quad_simple, i=1][2] = census",
+    }

@@ -17,7 +17,7 @@ PINS = {
         "series_golden": (3, "f1d8a0a124714944", "q,t to order 30 in Ts"),
         "closed_forms": (41, "2e7b824698482c41",
                          "closed forms to order 50, factorial formulas to 20"),
-        "cross_series": (43, "91110f64c2403933", "g/q/t, d3, and direct-solution identities"),
+        "cross_series": (44, "9c72a146257e163c", "g/q/t, d3, and direct-solution identities"),
         "census_series": (56, "22ea1588db05a819",
                           "q counts [1, 2, 6, 22, 91], t and sphere families match"),
         "bijections": (91, "6c89a83c81204208", "theorem cardinalities and round trips to n=4"),
@@ -33,7 +33,7 @@ PINS = {
         "series_golden": (3, "f1d8a0a124714944", "q,t to order 30 in Ts"),
         "closed_forms": (41, "2e7b824698482c41",
                          "closed forms to order 25, factorial formulas to 20"),
-        "cross_series": (43, "91110f64c2403933", "g/q/t, d3, and direct-solution identities"),
+        "cross_series": (44, "9c72a146257e163c", "g/q/t, d3, and direct-solution identities"),
         "census_series": (42, "7e52c9e22cb55ae5",
                           "q counts [1, 2, 6, 22], t and sphere families match"),
         "bijections": (34, "2a6129464fb083e6", "theorem cardinalities and round trips to n=3"),
